@@ -10,14 +10,13 @@ Exit codes: 0 success, 1 invalid or unbalanced diagram, 2 not admissible,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import shd
 from .builders import BUILDERS, build_example
-from .diagram import Diagram, InvalidDiagramError, balance_report, enumerate_generators
-from .domains import admissibility, h2_rank
-from .homology import niceness_report, sfh
+from .diagram import Diagram, InvalidDiagramError, NotBalancedError, balance_report
+from .domains import NotAdmissibleError
+from .homology import NotNiceError, sfh
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -63,18 +62,6 @@ def _load(path: str) -> Diagram:
     return d
 
 
-def _check_threads() -> None:
-    raw = os.environ.get("SFH_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise _fail(EXIT_USAGE, f"SFH_THREADS must be a positive integer, got {raw!r}")
-
-
 def _gen_label(gen: tuple[int, ...]) -> str:
     return "+".join(str(v) for v in gen) if gen else "-"
 
@@ -112,28 +99,25 @@ def _compute(d: Diagram, label: str, fmt: str, show_spinc: bool,
     diag = sys.stderr if fmt == "tsv" else sys.stdout
     print(f"input: {d.name or label}", file=diag)
     print(f"digest: {shd.digest(d)}", file=diag)
-    issues = balance_report(d)
-    if issues:
-        print(f"balanced: no ({'; '.join(issues)})", file=diag)
+    # sfh() checks balance, admissibility and niceness, in that order
+    balanced = f"balanced: yes ({d.alpha_count} alpha, {d.beta_count} beta)"
+    try:
+        result = sfh(d)
+    except NotBalancedError as exc:
+        print(f"balanced: no ({'; '.join(exc.problems)})", file=diag)
         raise _fail(EXIT_INVALID, "diagram is not balanced")
-    print(f"balanced: yes ({d.alpha_count} alpha, {d.beta_count} beta)", file=diag)
-
-    ok, witness = admissibility(d)
-    if not ok:
-        print(f"admissible: no (positive periodic domain {witness.describe()})",
+    except NotAdmissibleError as exc:
+        print(balanced, file=diag)
+        print(f"admissible: no (positive periodic domain {exc.witness.describe()})",
               file=diag)
         raise _fail(EXIT_INADMISSIBLE, "diagram is not admissible")
-    print("admissible: yes", file=diag)
-
-    nice_issues = niceness_report(d)
-    if nice_issues:
-        print(f"nice: no ({'; '.join(nice_issues)})", file=diag)
+    except NotNiceError as exc:
+        print(balanced, "admissible: yes", file=diag, sep="\n")
+        print(f"nice: no ({exc})", file=diag)
         raise _fail(EXIT_NOT_NICE, "diagram is not nice")
-    print("nice: yes", file=diag)
-
-    result = sfh(d)
+    print(balanced, "admissible: yes", "nice: yes", file=diag, sep="\n")
     print(f"generators: {result.generator_count}", file=diag)
-    print(f"periodic rank: {h2_rank(d)}", file=diag)
+    print(f"periodic rank: {result.periodic_rank}", file=diag)
     print(f"classes: {len(result.classes)}", file=diag)
     if show_spinc:
         for c in result.classes:
@@ -212,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_threads()
     try:
         return args.func(args)
     except SystemExit:

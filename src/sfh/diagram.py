@@ -425,6 +425,13 @@ class Diagram:
         return sorted(out)
 
     @cached_property
+    def defects(self):
+        """The diagram's ``sfh.domains.DefectSystem``: the defect matrix,
+        its Smith factorization, periodic basis and admissibility verdict."""
+        from .domains import DefectSystem  # domains builds on this module
+        return DefectSystem(self)
+
+    @cached_property
     def crossing_corner_count(self) -> dict[int, int]:
         """region id -> number of its corners sitting at crossings."""
         out = {r: 0 for r in self.regions}
@@ -435,6 +442,14 @@ class Diagram:
 
 
 # -- balance ---------------------------------------------------------------
+
+
+class NotBalancedError(ValueError):
+    """Raised by computations that require a balanced diagram."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("diagram is not balanced: " + "; ".join(problems))
+        self.problems = problems
 
 
 def _complement_components(d: Diagram, kept_curve: str) -> list[set[int]]:

@@ -17,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from . import intlinalg, ratlp
-from .diagram import ALPHA, BD, BETA, Diagram, Generator
+from .diagram import ALPHA, BETA, Diagram, Generator
 
 
 class NotAdmissibleError(ValueError):
@@ -128,36 +129,81 @@ class Domain:
         return out
 
 
-class BoundaryChain:
-    """Per-edge multiplicities of a domain boundary, split by curve kind."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, int]):
-        self.coeffs = coeffs
-
-    def restricted(self, curve: str, diagram: Diagram) -> dict[int, int]:
-        return {e: v for e, v in self.coeffs.items()
-                if diagram.edges[e].curve == curve}
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs.values())
-
-    def __eq__(self, other):
-        return isinstance(other, BoundaryChain) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        body = " ".join(f"{e}:{v}" for e, v in sorted(self.coeffs.items()) if v)
-        return f"BoundaryChain({body or '0'})"
-
-
-def boundary_chain(d: Diagram, dom: Domain) -> BoundaryChain:
-    """The domain's boundary as edge multiplicities on the curve edges."""
-    return BoundaryChain({e.id: dom.edge_multiplicity(e.id)
-                          for e in d.edges.values() if e.curve != BD})
-
-
 # -- the defect system -------------------------------------------------------
+
+
+class DefectSystem:
+    """One diagram's defect matrix and what derives from it: the Smith
+    factorization, the echelon periodic basis and the admissibility
+    verdict.  Each is built at most once per diagram, on first use; the
+    diagram holds this object as ``Diagram.defects``.
+
+    rows and labels are described at ``defect_system``.  Everything here is
+    shared by all callers and must not be modified.
+    """
+
+    def __init__(self, d: Diagram):
+        self.diagram = d
+        order = d.interior_regions
+        col = {r: i for i, r in enumerate(order)}
+        self.rows: list[list[int]] = []
+        self.labels: list[tuple[int, str]] = []
+        for v in d.crossings:
+            for curve in (ALPHA, BETA):
+                row = [0] * len(order)
+                for e in d.edges.values():
+                    if e.curve != curve:
+                        continue
+                    sign = (1 if e.head == v else 0) - (1 if e.tail == v else 0)
+                    if sign == 0:
+                        continue
+                    pos, neg = d.edge_sides[e.id]
+                    if pos in col:
+                        row[col[pos]] += sign
+                    if neg in col:
+                        row[col[neg]] -= sign
+                self.rows.append(row)
+                self.labels.append((v, curve))
+
+    @cached_property
+    def smith(self):
+        """smith_normal_form of the rows; a zero row stands in for none.
+        Only built for diagrams with interior regions."""
+        n = len(self.diagram.interior_regions)
+        return intlinalg.smith_normal_form(self.rows or [[0] * n])
+
+    @cached_property
+    def periodic(self) -> tuple[Domain, ...]:
+        """Lattice basis of the periodic domains, in column-echelon form."""
+        if not self.diagram.interior_regions:
+            return ()
+        return tuple(Domain(self.diagram, vec)
+                     for vec in intlinalg.kernel_basis(self.smith))
+
+    @cached_property
+    def admissibility(self) -> tuple[bool, Domain | None]:
+        """See ``admissibility``."""
+        basis = self.periodic
+        if not basis:
+            return True, None
+        m = len(self.diagram.interior_regions)
+        k = len(basis)
+        bmat = [[basis[j].coeffs[r] for j in range(k)] for r in range(m)]
+        a_ub = [[-v for v in row] for row in bmat] + [row[:] for row in bmat]
+        b_ub = [0] * m + [1] * m
+        c = [sum(bmat[r][j] for r in range(m)) for j in range(k)]
+        res = ratlp.maximize(c, a_ub, b_ub)
+        assert res.status == ratlp.OPTIMAL  # box is bounded and contains 0
+        if res.objective == 0:
+            return True, None
+        coeffs = [sum(Fraction(bmat[r][j]) * res.x[j] for j in range(k))
+                  for r in range(m)]
+        scale = math.lcm(*(v.denominator for v in coeffs))
+        ints = [int(v * scale) for v in coeffs]
+        g = math.gcd(*ints)
+        witness = Domain(self.diagram, [v // g for v in ints])
+        assert witness.is_nonnegative() and not witness.is_zero()
+        return False, witness
 
 
 def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:
@@ -166,29 +212,9 @@ def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:
     One row per (crossing, curve kind), columns indexed by the interior
     regions in sorted order.  Rows for markers are omitted: the two edges
     at a marker have the same flanking regions, so those conditions hold
-    identically.
+    identically.  The lists are the diagram's own; do not modify them.
     """
-    order = d.interior_regions
-    col = {r: i for i, r in enumerate(order)}
-    rows = []
-    labels = []
-    for v in d.crossings:
-        for curve in (ALPHA, BETA):
-            row = [0] * len(order)
-            for e in d.edges.values():
-                if e.curve != curve:
-                    continue
-                sign = (1 if e.head == v else 0) - (1 if e.tail == v else 0)
-                if sign == 0:
-                    continue
-                pos, neg = d.edge_sides[e.id]
-                if pos in col:
-                    row[col[pos]] += sign
-                if neg in col:
-                    row[col[neg]] -= sign
-            rows.append(row)
-            labels.append((v, curve))
-    return rows, labels
+    return d.defects.rows, d.defects.labels
 
 
 def defect_rhs(d: Diagram, x: Generator, y: Generator) -> list[int]:
@@ -209,17 +235,12 @@ def _check_generator(d: Diagram, g: Generator) -> None:
 
 def periodic_basis(d: Diagram) -> list[Domain]:
     """Lattice basis of the periodic domains, in column-echelon form."""
-    rows, _ = defect_system(d)
-    n = len(d.interior_regions)
-    if n == 0:
-        return []
-    basis = intlinalg.kernel_basis(rows if rows else [[0] * n])
-    return [Domain(d, vec) for vec in basis]
+    return list(d.defects.periodic)
 
 
 def h2_rank(d: Diagram) -> int:
     """Rank of the periodic domain lattice."""
-    return len(periodic_basis(d))
+    return len(d.defects.periodic)
 
 
 def connecting_domain(d: Diagram, x: Generator, y: Generator) -> Domain | None:
@@ -231,17 +252,15 @@ def connecting_domain(d: Diagram, x: Generator, y: Generator) -> Domain | None:
     """
     _check_generator(d, x)
     _check_generator(d, y)
-    rows, _ = defect_system(d)
     rhs = defect_rhs(d, x, y)
-    n = len(d.interior_regions)
-    if n == 0:
+    if not d.interior_regions:
         return Domain(d, ()) if all(v == 0 for v in rhs) else None
-    if not rows:
+    if not rhs:
         return Domain.zero(d)
-    sol = intlinalg.solve(rows, rhs)
+    sol = intlinalg.solve(d.defects.smith, rhs)
     if sol is None:
         return None
-    for b in periodic_basis(d):
+    for b in d.defects.periodic:
         lead = next(i for i, c in enumerate(b.coeffs) if c)
         q = sol[lead] // b.coeffs[lead]
         if q:
@@ -260,35 +279,15 @@ def admissibility(d: Diagram) -> tuple[bool, Domain | None]:
     point with positive total and clearing denominators makes the witness
     exact.
     """
-    basis = periodic_basis(d)
-    if not basis:
-        return True, None
-    m = len(d.interior_regions)
-    k = len(basis)
-    bmat = [[basis[j].coeffs[r] for j in range(k)] for r in range(m)]
-    a_ub = [[-v for v in row] for row in bmat] + [row[:] for row in bmat]
-    b_ub = [0] * m + [1] * m
-    c = [sum(bmat[r][j] for r in range(m)) for j in range(k)]
-    res = ratlp.maximize(c, a_ub, b_ub)
-    assert res.status == ratlp.OPTIMAL  # box is bounded and contains 0
-    if res.objective == 0:
-        return True, None
-    coeffs = [sum(Fraction(bmat[r][j]) * res.x[j] for j in range(k))
-              for r in range(m)]
-    scale = math.lcm(*(v.denominator for v in coeffs))
-    ints = [int(v * scale) for v in coeffs]
-    g = math.gcd(*ints)
-    witness = Domain(d, [v // g for v in ints])
-    assert witness.is_nonnegative() and not witness.is_zero()
-    return False, witness
+    return d.defects.admissibility
 
 
 def is_admissible(d: Diagram) -> bool:
-    return admissibility(d)[0]
+    return d.defects.admissibility[0]
 
 
 def require_admissible(d: Diagram) -> None:
-    ok, witness = admissibility(d)
+    ok, witness = d.defects.admissibility
     if not ok:
         raise NotAdmissibleError(witness)
 
@@ -313,7 +312,7 @@ def positive_connecting_domains(d: Diagram, x: Generator, y: Generator,
 
 
 def _positive_solutions(d: Diagram, base: Domain) -> list[Domain]:
-    basis = periodic_basis(d)
+    basis = d.defects.periodic
     if not basis:
         return [base] if base.is_nonnegative() else []
     m = len(d.interior_regions)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, Generator, balance_report
-from .domains import (Domain, NotAdmissibleError, defect_rhs, defect_system,
-                      h2_rank, positive_connecting_domains, require_admissible)
+from .diagram import Diagram, Generator, NotBalancedError, balance_report
+from .domains import (Domain, h2_rank, positive_connecting_domains,
+                      require_admissible)
 from .spinc import (SpincClass, grading_modulus, maslov_index,
                     relative_gradings, spinc_partition)
 
@@ -114,26 +114,6 @@ def _rigid(d: Diagram, dom: Domain, x: Generator, y: Generator) -> int:
     return 1
 
 
-def rigid_count(d: Diagram, dom: Domain, x: Generator, y: Generator) -> int:
-    """1 when the domain is an embedded bigon or square from x to y, else 0.
-
-    Preconditions checked: the diagram is nice and admissible, the domain is
-    nonnegative, connects x to y, and has Maslov index 1.
-    """
-    require_nice(d)
-    require_admissible(d)
-    if not dom.is_nonnegative():
-        raise ValueError("domain has a negative multiplicity")
-    rows, _ = defect_system(d)
-    rhs = defect_rhs(d, x, y)
-    got = [sum(a * c for a, c in zip(row, dom.coeffs)) for row in rows]
-    if got != rhs:
-        raise ValueError(f"domain does not connect {x} to {y}")
-    if maslov_index(d, dom, x, y) != 1:
-        raise ValueError("domain does not have Maslov index 1")
-    return _rigid(d, dom, x, y)
-
-
 # -- the complex --------------------------------------------------------------
 
 
@@ -209,8 +189,6 @@ class SFHResult:
     generator_count: int
     classes: tuple[ClassHomology, ...]
     periodic_rank: int = 0
-    admissible: bool = True
-    nice: bool = True
 
     @property
     def total_rank(self) -> int:
@@ -284,12 +262,12 @@ def class_homology(d: Diagram, cls: SpincClass) -> ClassHomology:
 
 def sfh(d: Diagram) -> SFHResult:
     """Homology ranks per class and grading.  Raises InvalidDiagramError,
-    ValueError (imbalance), NotAdmissibleError, or NotNiceError when the
-    diagram does not support the count."""
+    NotBalancedError, NotAdmissibleError or NotNiceError, checked in that
+    order, when the diagram does not support the count."""
     d.validate()
     problems = balance_report(d)
     if problems:
-        raise ValueError("diagram is not balanced: " + "; ".join(problems))
+        raise NotBalancedError(problems)
     require_admissible(d)
     require_nice(d)
     classes = tuple(class_homology(d, cls) for cls in spinc_partition(d))

@@ -34,7 +34,10 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
     """Return (u, s, v) with s = u * a * v diagonal and u, v unimodular.
 
     Diagonal entries are nonnegative and each divides the next.  Pivoting is
-    deterministic: smallest nonzero magnitude, ties by position.
+    deterministic: smallest nonzero magnitude in the trailing block, ties by
+    position.  The pivot is chosen again after every elimination pass; one
+    kept for the whole diagonal position lets the remainder steps and folds
+    grow the trailing block's entries to thousands of digits.
     """
     s = [row[:] for row in a]
     m = len(s)
@@ -82,58 +85,42 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
         pi, pj = pivot
         swap_rows(t, pi)
         swap_cols(t, pj)
-        while True:
-            # clear column t below the pivot by remainder steps
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    add_row(t, i, -q)
-                    if s[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    add_col(t, j, -q)
-                    if s[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide everything in the trailing block, or the
-            # divisibility chain d1 | d2 | ... fails; fold offenders in
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i][j] % s[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
+        p = s[t][t]
+        # clear row and column t by remainder steps
+        dirty = False
+        for i in range(t + 1, m):
+            if s[i][t]:
+                add_row(t, i, -(s[i][t] // p))
+                dirty = dirty or s[i][t] != 0
+        for j in range(t + 1, n):
+            if s[t][j]:
+                add_col(t, j, -(s[t][j] // p))
+                dirty = dirty or s[t][j] != 0
+        if dirty:
+            continue
+        # the pivot must divide everything in the trailing block, or the
+        # divisibility chain d1 | d2 | ... fails; fold an offender in
+        bad = next((i for i in range(t + 1, m)
+                    if any(s[i][j] % p for j in range(t + 1, n))), None)
+        if bad is not None:
             add_row(bad, t, 1)
-        if s[t][t] < 0:
+            continue
+        if p < 0:
             negate_row(t)
         t += 1
     return u, s, v
 
 
-def kernel_basis(a: list[list[int]]) -> list[list[int]]:
-    """Integer basis of {x : a x = 0}, as a list of length-n vectors.
+def kernel_basis(snf) -> list[list[int]]:
+    """Integer basis of {x : a x = 0}, as a list of length-n vectors, from
+    snf = smith_normal_form(a) of a matrix a with at least one row.
 
     The basis generates the full kernel lattice (saturated, since it comes
     from unimodular column operations).  Output is put in column Hermite
     form so callers get a canonical, triangular generating set.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return hermite_columns(identity(n))
-    _, s, v = smith_normal_form(a)
+    _, s, v = snf
+    m, n = len(s), len(v)
     r = sum(1 for i in range(min(m, n)) if s[i][i] != 0)
     cols = []
     for j in range(r, n):
@@ -183,15 +170,11 @@ def hermite_columns(bmat: list[list[int]]) -> list[list[int]]:
     return done
 
 
-def solve(a: list[list[int]], b: list[int]) -> list[int] | None:
-    """One integer solution x of a x = b, or None when there is none."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    if n == 0:
-        return [] if all(x == 0 for x in b) else None
-    u, s, v = smith_normal_form(a)
+def solve(snf, b: list[int]) -> list[int] | None:
+    """One integer solution x of a x = b, or None when there is none, from
+    snf = smith_normal_form(a) of a matrix a with at least one row."""
+    u, s, v = snf
+    m, n = len(u), len(v)
     c = mat_vec(u, b)
     y = [0] * n
     for i in range(m):
@@ -203,34 +186,3 @@ def solve(a: list[list[int]], b: list[int]) -> list[int] | None:
         elif c[i] != 0:
             return None
     return mat_vec(v, y)
-
-
-def lattice_rank(a: list[list[int]]) -> int:
-    """Rank of the row/column lattice of a (rank over Q)."""
-    if not a or not a[0]:
-        return 0
-    _, s, _ = smith_normal_form(a)
-    return sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i] != 0)
-
-
-def cokernel_presentation(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Describe Z^n / (column span of a), for a an n x k matrix.
-
-    Returns (factors, proj) where the quotient is the direct sum of
-    Z/factors[i] (0 meaning a free Z summand) and proj is the n x n matrix
-    sending x in Z^n to its coordinate vector; coordinate i of proj @ x is
-    to be read modulo factors[i].  Trivial (factor 1) coordinates are kept
-    so the projection is square; callers usually drop them.
-    """
-    n = len(a)
-    k = len(a[0]) if n else 0
-    if n == 0:
-        return [], []
-    if k == 0:
-        return [0] * n, identity(n)
-    u, s, _ = smith_normal_form(a)
-    factors = []
-    for i in range(n):
-        d = s[i][i] if i < min(n, k) else 0
-        factors.append(d)
-    return factors, u

@@ -9,20 +9,18 @@ The class partition has an independent homological description: connect y
 to x by arcs along the alpha circles and back along the beta circles; the
 resulting loop's class in the first homology of the underlying 3-manifold
 (curve classes and region boundaries killed) vanishes exactly for pairs in
-the same class.  Both descriptions are implemented so they can be checked
-against each other.
+the same class.  That description is kept as a test reference
+(``epsilon_class`` in ``tests/oracles.py``), checked against the partition
+computed here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from . import intlinalg
-from .diagram import ALPHA, BD, BETA, Diagram, Generator, enumerate_generators
-from .domains import (Domain, connecting_domain, defect_rhs, defect_system,
-                      periodic_basis)
+from .diagram import Diagram, Generator, enumerate_generators
+from .domains import Domain, connecting_domain, defect_rhs
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,8 @@ def maslov_index(d: Diagram, dom: Domain, x: Generator,
                  y: Generator) -> int | None:
     """Index of a domain from x to y: Euler measure plus the two point
     measures.  None when the domain does not connect x to y."""
-    rows, _ = defect_system(d)
     rhs = defect_rhs(d, x, y)
-    for row, want in zip(rows, rhs):
+    for row, want in zip(d.defects.rows, rhs):
         if sum(a * c for a, c in zip(row, dom.coeffs)) != want:
             return None
     e = Fraction(0)
@@ -77,7 +74,7 @@ def maslov_index(d: Diagram, dom: Domain, x: Generator,
 
 def grading_modulus(d: Diagram, member: Generator) -> int:
     """Gcd of Maslov indices over the periodic lattice; 0 means exact gradings."""
-    vals = [maslov_index(d, p, member, member) for p in periodic_basis(d)]
+    vals = [maslov_index(d, p, member, member) for p in d.defects.periodic]
     return math.gcd(*vals) if vals else 0
 
 
@@ -100,119 +97,3 @@ def relative_gradings(d: Diagram, members: tuple[Generator, ...]) -> dict[Genera
         val = maslov_index(d, dom, g, least)
         out[g] = val % modulus if modulus else val
     return out
-
-
-# -- homological pairing invariant -------------------------------------------
-
-
-def _forest(d: Diagram) -> tuple[set[int], list[int]]:
-    # deterministic spanning forest over the 1-skeleton; returns (tree edge
-    # ids, non-tree edge ids in increasing order)
-    parent = {v: v for v in d.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree: set[int] = set()
-    nontree: list[int] = []
-    for eid in sorted(d.edges):
-        e = d.edges[eid]
-        a, b = find(e.tail), find(e.head)
-        if a == b:
-            nontree.append(eid)
-        else:
-            parent[a] = b
-            tree.add(eid)
-    return tree, nontree
-
-
-def _relation_chains(d: Diagram) -> list[dict[int, int]]:
-    chains = []
-    for r in d.regions.values():
-        chain: dict[int, int] = {}
-        for cyc in r.cycles:
-            for ref in cyc:
-                chain[abs(ref)] = chain.get(abs(ref), 0) + (1 if ref > 0 else -1)
-        chains.append(chain)
-    for (curve, index), edges in sorted(d.circle_order.items()):
-        if curve == BD:
-            continue
-        chains.append({e: 1 for e in edges})
-    return chains
-
-
-class PairingTable:
-    """Cokernel presentation of the loop classes modulo relations."""
-
-    def __init__(self, d: Diagram):
-        self.diagram = d
-        _, self.nontree = _forest(d)
-        cols = _relation_chains(d)
-        a = [[chain.get(e, 0) for chain in cols] for e in self.nontree]
-        self.factors, self.proj = intlinalg.cokernel_presentation(a)
-
-    def reduce(self, chain: dict[int, int]) -> tuple[int, ...]:
-        coords = [chain.get(e, 0) for e in self.nontree]
-        w = intlinalg.mat_vec(self.proj, coords) if coords else []
-        out = []
-        for val, f in zip(w, self.factors):
-            if f == 1:
-                continue
-            out.append(val % f if f else val)
-        return tuple(out)
-
-    def group_factors(self) -> tuple[int, ...]:
-        """Invariant factors of the ambient group (1s dropped, 0 is free)."""
-        return tuple(f for f in self.factors if f != 1)
-
-
-@lru_cache(maxsize=64)
-def _pairing_table(d: Diagram) -> PairingTable:
-    return PairingTable(d)
-
-
-def _arc_chain(d: Diagram, curve: str, index: int, start: int, stop: int,
-               chain: dict[int, int], sign: int) -> None:
-    # walk the circle from start to stop in its own direction
-    if start == stop:
-        return
-    order = d.circle_order[(curve, index)]
-    out_at = {d.edges[e].tail: d.edges[e] for e in order}
-    v = start
-    for _ in range(len(order) + 1):
-        e = out_at[v]
-        chain[e.id] = chain.get(e.id, 0) + sign
-        v = e.head
-        if v == stop:
-            return
-    raise ValueError(f"vertex {stop} not found on {curve}({index})")
-
-
-def epsilon_class(d: Diagram, x: Generator, y: Generator) -> tuple[int, ...]:
-    """Obstruction to x and y sharing a class; the zero tuple means they do.
-
-    Builds the alpha-then-beta comparison loop and reduces it in the pairing
-    table.  Coordinates are canonical for a fixed diagram, so equal classes
-    always produce equal tuples.
-    """
-    table = _pairing_table(d)
-    by_alpha_x = {d.crossing_curves[v][0]: v for v in x}
-    by_alpha_y = {d.crossing_curves[v][0]: v for v in y}
-    by_beta_x = {d.crossing_curves[v][1]: v for v in x}
-    by_beta_y = {d.crossing_curves[v][1]: v for v in y}
-    if set(by_alpha_x) != set(by_alpha_y) or set(by_beta_x) != set(by_beta_y):
-        raise ValueError("generators do not use the same circles")
-    chain: dict[int, int] = {}
-    for i, vx in by_alpha_x.items():
-        _arc_chain(d, ALPHA, i, by_alpha_y[i], vx, chain, +1)
-    for j, vx in by_beta_x.items():
-        _arc_chain(d, BETA, j, by_beta_y[j], vx, chain, -1)
-    return table.reduce(chain)
-
-
-def epsilon_group(d: Diagram) -> tuple[int, ...]:
-    """Invariant factors of the group the pairing invariant lives in."""
-    return _pairing_table(d).group_factors()

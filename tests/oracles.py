@@ -2,13 +2,16 @@
 
 Everything here recomputes from the raw cell data (edges, region cycles,
 quadrants) with its own bookkeeping, deliberately avoiding the library's
-matrix assembly, lattice solving, and counting code.
+matrix assembly, lattice solving, and counting code.  The one exception is
+the pairing invariant at the end, which reuses
+``intlinalg.smith_normal_form`` on a matrix of its own.
 """
 from __future__ import annotations
 
 import itertools
 
-from sfh.diagram import ALPHA, BETA, Diagram, Generator
+from sfh import intlinalg
+from sfh.diagram import ALPHA, BD, BETA, Diagram, Generator
 
 
 def brute_force_generators(d: Diagram) -> list[Generator]:
@@ -167,3 +170,132 @@ def brute_force_boundary_matrix(d: Diagram,
                 row |= 1 << j
         rows.append(row)
     return rows
+
+
+# -- homological pairing invariant -------------------------------------------
+#
+# The Spin^c partition described without domains: connect y to x by arcs
+# along the alpha circles and back along the beta circles; the loop's class
+# in the first homology of the 3-manifold (curve classes and region
+# boundaries killed) vanishes exactly when x and y share a class.
+
+
+def _forest(d: Diagram) -> tuple[set[int], list[int]]:
+    # deterministic spanning forest over the 1-skeleton; returns (tree edge
+    # ids, non-tree edge ids in increasing order)
+    parent = {v: v for v in d.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree: set[int] = set()
+    nontree: list[int] = []
+    for eid in sorted(d.edges):
+        e = d.edges[eid]
+        a, b = find(e.tail), find(e.head)
+        if a == b:
+            nontree.append(eid)
+        else:
+            parent[a] = b
+            tree.add(eid)
+    return tree, nontree
+
+
+def _relation_chains(d: Diagram) -> list[dict[int, int]]:
+    chains = []
+    for r in d.regions.values():
+        chain: dict[int, int] = {}
+        for cyc in r.cycles:
+            for ref in cyc:
+                chain[abs(ref)] = chain.get(abs(ref), 0) + (1 if ref > 0 else -1)
+        chains.append(chain)
+    for (curve, index), edges in sorted(d.circle_order.items()):
+        if curve == BD:
+            continue
+        chains.append({e: 1 for e in edges})
+    return chains
+
+
+class PairingTable:
+    """Cokernel presentation of the loop classes modulo relations.
+
+    The group is Z^n / (column span of a), for a the n x k matrix of
+    relation chains over the n non-tree edges.  It is the direct sum of
+    Z/factors[i] (0 meaning a free Z summand), and proj sends a chain's
+    coordinates to the group's, coordinate i read modulo factors[i].
+    """
+
+    def __init__(self, d: Diagram):
+        self.diagram = d
+        _, self.nontree = _forest(d)
+        cols = _relation_chains(d)
+        a = [[chain.get(e, 0) for chain in cols] for e in self.nontree]
+        n, k = len(a), len(cols)
+        if n == 0:
+            self.factors, self.proj = [], []
+        elif k == 0:
+            self.factors, self.proj = [0] * n, intlinalg.identity(n)
+        else:
+            self.proj, s, _ = intlinalg.smith_normal_form(a)
+            self.factors = [s[i][i] if i < min(n, k) else 0 for i in range(n)]
+
+    def reduce(self, chain: dict[int, int]) -> tuple[int, ...]:
+        coords = [chain.get(e, 0) for e in self.nontree]
+        w = intlinalg.mat_vec(self.proj, coords) if coords else []
+        out = []
+        for val, f in zip(w, self.factors):
+            if f == 1:
+                continue
+            out.append(val % f if f else val)
+        return tuple(out)
+
+    def group_factors(self) -> tuple[int, ...]:
+        """Invariant factors of the ambient group (1s dropped, 0 is free)."""
+        return tuple(f for f in self.factors if f != 1)
+
+
+def _arc_chain(d: Diagram, curve: str, index: int, start: int, stop: int,
+               chain: dict[int, int], sign: int) -> None:
+    # walk the circle from start to stop in its own direction
+    if start == stop:
+        return
+    order = d.circle_order[(curve, index)]
+    out_at = {d.edges[e].tail: d.edges[e] for e in order}
+    v = start
+    for _ in range(len(order) + 1):
+        e = out_at[v]
+        chain[e.id] = chain.get(e.id, 0) + sign
+        v = e.head
+        if v == stop:
+            return
+    raise ValueError(f"vertex {stop} not found on {curve}({index})")
+
+
+def epsilon_class(d: Diagram, x: Generator, y: Generator) -> tuple[int, ...]:
+    """Obstruction to x and y sharing a class; the zero tuple means they do.
+
+    Builds the alpha-then-beta comparison loop and reduces it in the pairing
+    table.  Coordinates are canonical for a fixed diagram, so equal classes
+    always produce equal tuples.
+    """
+    table = PairingTable(d)
+    by_alpha_x = {d.crossing_curves[v][0]: v for v in x}
+    by_alpha_y = {d.crossing_curves[v][0]: v for v in y}
+    by_beta_x = {d.crossing_curves[v][1]: v for v in x}
+    by_beta_y = {d.crossing_curves[v][1]: v for v in y}
+    if set(by_alpha_x) != set(by_alpha_y) or set(by_beta_x) != set(by_beta_y):
+        raise ValueError("generators do not use the same circles")
+    chain: dict[int, int] = {}
+    for i, vx in by_alpha_x.items():
+        _arc_chain(d, ALPHA, i, by_alpha_y[i], vx, chain, +1)
+    for j, vx in by_beta_x.items():
+        _arc_chain(d, BETA, j, by_beta_y[j], vx, chain, -1)
+    return table.reduce(chain)
+
+
+def epsilon_group(d: Diagram) -> tuple[int, ...]:
+    """Invariant factors of the group the pairing invariant lives in."""
+    return PairingTable(d).group_factors()

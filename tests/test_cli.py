@@ -178,20 +178,3 @@ def test_unknown_subcommand_exit_11(capsys):
     code, _, err = run_fail(capsys, "frobnicate")
     assert code == 11
     assert "invalid choice" in err
-
-
-# -- environment ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_threads_rejects_nonpositive(capsys, monkeypatch, value):
-    monkeypatch.setenv("SFH_THREADS", value)
-    code, _, err = run_fail(capsys, "example", "--list")
-    assert code == 11
-    assert f"SFH_THREADS must be a positive integer, got {value!r}" in err
-
-
-def test_threads_accepts_positive(capsys, monkeypatch):
-    monkeypatch.setenv("SFH_THREADS", "4")
-    code, _, _ = run(capsys, "example", "--list")
-    assert code == 0

@@ -6,11 +6,9 @@ import pytest
 from sfh.builders import build_example
 from sfh.diagram import ALPHA, BETA, enumerate_generators
 from sfh.domains import (
-    BoundaryChain,
     Domain,
     NotAdmissibleError,
     admissibility,
-    boundary_chain,
     connecting_domain,
     defect_rhs,
     defect_system,
@@ -264,33 +262,3 @@ def test_positive_domains_on_grid_fixture(grid2):
             for dom in positive_connecting_domains(grid2, x, y)} \
         == {"r1:1", "r2:1"}
     assert positive_connecting_domains(grid2, y, x) == []
-
-
-# -- boundary chains -------------------------------------------------------------
-
-
-def test_boundary_chain_of_periodic_domain():
-    d = build_example("s1s2", [])
-    (b,) = periodic_basis(d)
-    bc = boundary_chain(d, b)
-    # full alpha circle forward, full beta circle backward
-    assert bc.restricted(ALPHA, d) == {1: 1, 2: 1}
-    assert bc.restricted(BETA, d) == {3: -1, 4: -1}
-    assert not bc.is_zero()
-    assert repr(bc) == "BoundaryChain(1:1 2:1 3:-1 4:-1)"
-
-
-def test_boundary_chain_of_bigon():
-    d = build_example("s1s2", [])
-    x, y = enumerate_generators(d)
-    bc = boundary_chain(d, connecting_domain(d, y, x))
-    assert bc.coeffs == {1: 0, 2: -1, 3: 0, 4: 1}
-    assert bc == BoundaryChain({1: 0, 2: -1, 3: 0, 4: 1})
-    assert bc != BoundaryChain({})
-
-
-def test_boundary_chain_zero():
-    d = build_example("s1s2", [])
-    bc = boundary_chain(d, Domain.zero(d))
-    assert bc.is_zero()
-    assert repr(bc) == "BoundaryChain(0)"

@@ -2,18 +2,21 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import pytest
 
+from sfh import cli, intlinalg
 from sfh.builders import build_example
 from sfh.diagram import (ALPHA, BD, Diagram, Edge, InvalidDiagramError, MARKER,
-                         Region, Vertex, enumerate_generators)
+                         NotBalancedError, Region, Vertex, enumerate_generators)
 from sfh.domains import (Domain, NotAdmissibleError, connecting_domain,
                          positive_connecting_domains)
-from sfh.homology import (ClassHomology, NotNiceError, SFHResult,
+from sfh.homology import (ClassHomology, NotNiceError, SFHResult, _rigid,
                           boundary_matrix, class_homology, is_nice,
-                          niceness_report, require_nice, rigid_count, sfh,
+                          niceness_report, require_nice, sfh,
                           verify_d_squared)
+from sfh.moves import disjoint_union
 from sfh.spinc import maslov_index, relative_gradings, spinc_partition
 
 from oracles import brute_force_boundary_matrix, oracle_rigid
@@ -65,34 +68,18 @@ def test_niceness_flags_genus_and_extra_cycles():
 def test_rigid_count_bigons():
     d = build_example("s1s2", [])
     x, y = enumerate_generators(d)
-    assert rigid_count(d, Domain.from_dict(d, {1: 1}), y, x) == 1
-    assert rigid_count(d, Domain.from_dict(d, {2: 1}), y, x) == 1
+    assert _rigid(d, Domain.from_dict(d, {1: 1}), y, x) == 1
+    assert _rigid(d, Domain.from_dict(d, {2: 1}), y, x) == 1
 
 
 def test_rigid_count_rectangles(grid2):
     x, y = enumerate_generators(grid2)
-    assert rigid_count(grid2, Domain.from_dict(grid2, {1: 1}), x, y) == 1
-    assert rigid_count(grid2, Domain.from_dict(grid2, {2: 1}), x, y) == 1
-
-
-def test_rigid_count_preconditions():
-    d = build_example("s1s2", [])
-    x, y = enumerate_generators(d)
-    with pytest.raises(ValueError, match="negative"):
-        rigid_count(d, Domain.from_dict(d, {1: -1}), y, x)
-    with pytest.raises(ValueError, match="does not connect"):
-        rigid_count(d, Domain.from_dict(d, {1: 1}), x, y)
-    with pytest.raises(ValueError, match="Maslov index 1"):
-        rigid_count(d, Domain.zero(d), x, x)
-    with pytest.raises(NotNiceError):
-        hexagon = build_example("hexagon", [])
-        gens = enumerate_generators(hexagon)
-        rigid_count(hexagon, Domain.zero(hexagon), gens[0], gens[0])
+    assert _rigid(grid2, Domain.from_dict(grid2, {1: 1}), x, y) == 1
+    assert _rigid(grid2, Domain.from_dict(grid2, {2: 1}), x, y) == 1
 
 
 def test_rigid_matches_polygon_gluing_oracle():
     # compare on every nonnegative index-1 domain in the nice corpus
-    from sfh.homology import _rigid
     for name, params in NICE_CORPUS:
         d = build_example(name, params)
         gens = enumerate_generators(d)
@@ -205,7 +192,6 @@ def test_sfh_result_shape():
     assert res.diagram_name == "s1s2"
     assert res.generator_count == 2
     assert res.periodic_rank == 1
-    assert res.admissible and res.nice
     assert res.render_lines() == ["class s0 d 0 ranks 0:1,1:1", "total 2"]
     assert res.render_tsv() == (
         "class\td\tgrading\trank\n"
@@ -230,11 +216,45 @@ def test_sfh_error_paths():
         [Edge(1, ALPHA, 1, 1, 1), Edge(2, BD, 1, 2, 2)],
         [Region(1, 0, ((1,),)), Region(2, 0, ((-1,), (2,)))],
     )
-    with pytest.raises(ValueError, match="not balanced"):
+    with pytest.raises(NotBalancedError, match="not balanced") as exc:
         sfh(unbalanced)
+    assert exc.value.problems[0] == "1 alpha circles vs 0 beta circles"
     broken = Diagram([Vertex(1, MARKER)], [], [Region(1, 0, ((7,),))])
     with pytest.raises(InvalidDiagramError):
         sfh(broken)
+
+
+def _count_smith_forms(monkeypatch) -> list[int]:
+    calls = []
+    original = intlinalg.smith_normal_form
+
+    def counting(a):
+        calls.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    return calls
+
+
+def test_sfh_factors_the_defect_matrix_once(monkeypatch):
+    spheres = build_example("spheres", [4])
+    lens = build_example("torus_lens", [5])
+    union = disjoint_union(spheres, lens)
+    calls = _count_smith_forms(monkeypatch)
+    for d in (spheres, lens, union):
+        calls.clear()
+        sfh(d)
+        assert len(calls) == 1
+        sfh(d)  # the same diagram object keeps its factorization
+        assert len(calls) == 1
+
+
+def test_cli_compute_factors_the_defect_matrix_once(monkeypatch, capsys):
+    calls = _count_smith_forms(monkeypatch)
+    diagrams = Path(__file__).resolve().parent.parent / "diagrams"
+    assert cli.main(["compute", str(diagrams / "spheres_3.shd")]) == 0
+    assert "total 4" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_graded_euler_characteristic_matches_complex():

@@ -2,12 +2,20 @@
 from __future__ import annotations
 
 import random
+import signal
 
 from sfh import intlinalg
+from sfh.builders import build_example
+from sfh.domains import defect_system
+from sfh.moves import permute_ids
 
 
 def _mat_eq(a, b):
     return a == b
+
+
+def _solve(a, b):
+    return intlinalg.solve(intlinalg.smith_normal_form(a), b)
 
 
 def _det(a):
@@ -57,13 +65,36 @@ def test_snf_random():
         assert abs(_det(v)) == 1
 
 
+def test_snf_relabeled_torus_lens_stays_small():
+    # this relabeling's 40 x 19 defect matrix made pivots chosen once per
+    # diagonal position grow the trailing block past 4,000 digits; the alarm
+    # turns such a run into a failure instead of a hang
+    a, _ = defect_system(permute_ids(build_example("torus_lens", (20,)),
+                                     1250219996))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("smith_normal_form ran for over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        u, s, v = intlinalg.smith_normal_form(a)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert intlinalg.mat_mul(intlinalg.mat_mul(u, a), v) == s
+    diag = [s[i][i] for i in range(len(a[0]))]
+    assert diag == [1] * 18 + [20]
+    assert sum(1 for row in s for x in row if x) == len(diag)
+
+
 def test_kernel_random():
     rng = random.Random(34)
     for _ in range(80):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         a = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        basis = intlinalg.kernel_basis(a)
+        basis = intlinalg.kernel_basis(intlinalg.smith_normal_form(a))
         for vec in basis:
             assert intlinalg.mat_vec(a, vec) == [0] * rows
         # rank-nullity over Q
@@ -93,7 +124,7 @@ def test_solve_random():
             b = intlinalg.mat_vec(a, x)
         else:
             b = [rng.randrange(-8, 9) for _ in range(rows)]
-        got = intlinalg.solve(a, b)
+        got = _solve(a, b)
         if got is not None:
             assert intlinalg.mat_vec(a, got) == b
             solved += 1
@@ -102,10 +133,10 @@ def test_solve_random():
 
 def test_solve_reports_integer_infeasibility():
     # 2x = 1 has a rational solution but no integer one
-    assert intlinalg.solve([[2]], [1]) is None
-    assert intlinalg.solve([[2]], [4]) == [2]
+    assert _solve([[2]], [1]) is None
+    assert _solve([[2]], [4]) == [2]
     # inconsistent system
-    assert intlinalg.solve([[1], [1]], [0, 1]) is None
+    assert _solve([[1], [1]], [0, 1]) is None
 
 
 def test_hermite_columns_canonical():
@@ -117,6 +148,7 @@ def test_hermite_columns_canonical():
 
 
 def test_empty_shapes():
-    assert intlinalg.kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
-    assert intlinalg.solve([[0]], [0]) == [0]
-    assert intlinalg.solve([[0]], [1]) is None
+    assert intlinalg.kernel_basis(intlinalg.smith_normal_form([[0, 0]])) \
+        == [[1, 0], [0, 1]]
+    assert _solve([[0]], [0]) == [0]
+    assert _solve([[0]], [1]) is None

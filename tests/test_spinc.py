@@ -9,14 +9,14 @@ from sfh.builders import build_example
 from sfh.diagram import enumerate_generators
 from sfh.domains import Domain, connecting_domain, periodic_basis
 from sfh.spinc import (
-    epsilon_class,
-    epsilon_group,
     grading_modulus,
     maslov_index,
     point_measure,
     relative_gradings,
     spinc_partition,
 )
+
+from oracles import epsilon_class, epsilon_group
 
 
 # -- partition into classes -----------------------------------------------------
