@@ -324,10 +324,17 @@ class Diagram:
                         f"crossing {v.id}: quadrants do not close into a single cycle")
         return errs
 
+    # set once the check passes (a failing diagram raises on every call); a
+    # class default, as a cached_property's __dict__ lookup slows the check
+    _valid = False
+
     def validate(self) -> None:
+        if self._valid:
+            return
         errs = self.validation_errors()
         if errs:
             raise InvalidDiagramError("; ".join(errs))
+        self._valid = True
 
     # -- derived structure (valid diagrams only) -------------------------
 

@@ -11,12 +11,15 @@ integer solutions for the right-hand side determined by the pair; periodic
 domains are the kernel.  Sign convention, fixed once and used everywhere:
 the alpha part of the boundary runs from x to y (each alpha circle picks up
 y minus x) and the beta part runs back (x minus y).
+
+An admissible diagram has an area form (Stiemke's lemma): positive integer
+region weights w under which periodic domains have area zero.  All domains
+from x to y then share the area A = w.D, so a nonnegative one has
+D_r <= A // w_r, which bounds an integer walk over the periodic basis.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from . import intlinalg, ratlp
@@ -88,12 +91,6 @@ class Domain:
         return Domain(self.diagram,
                       tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "Domain":
-        return Domain(self.diagram, tuple(-a for a in self.coeffs))
-
-    def scaled(self, k: int) -> "Domain":
-        return Domain(self.diagram, tuple(k * a for a in self.coeffs))
-
     def __eq__(self, other):
         return (isinstance(other, Domain) and self.diagram is other.diagram
                 and self.coeffs == other.coeffs)
@@ -134,18 +131,23 @@ class Domain:
 
 class DefectSystem:
     """One diagram's defect matrix and what derives from it: the Smith
-    factorization, the echelon periodic basis and the admissibility
-    verdict.  Each is built at most once per diagram, on first use; the
-    diagram holds this object as ``Diagram.defects``.
-
-    rows and labels are described at ``defect_system``.  Everything here is
-    shared by all callers and must not be modified.
+    factorization, the echelon periodic basis, the admissibility verdict
+    and the area form, each built at most once, on first use.  euler and
+    quads give four times the Maslov index in integers: 4 e(r) minus its
+    crossing corners per interior region r, and per crossing the columns of
+    its interior quadrants.  The diagram holds this object as
+    ``Diagram.defects``; rows and labels are described at
+    ``defect_system``.  Everything here is shared and must not be modified.
     """
 
     def __init__(self, d: Diagram):
         self.diagram = d
         order = d.interior_regions
         col = {r: i for i, r in enumerate(order)}
+        self.euler = [4 * d.regions[r].euler() - d.crossing_corner_count[r]
+                      for r in order]
+        self.quads = {v: [col[c.region] for c in d.quadrants[v] if c.region in col]
+                      for v in d.crossings}
         self.rows: list[list[int]] = []
         self.labels: list[tuple[int, str]] = []
         for v in d.crossings:
@@ -181,29 +183,45 @@ class DefectSystem:
                      for vec in intlinalg.kernel_basis(self.smith))
 
     @cached_property
-    def admissibility(self) -> tuple[bool, Domain | None]:
-        """See ``admissibility``."""
+    def _program(self) -> ratlp.LPResult | None:
+        """max 1.Bt over 0 <= Bt <= 1 (B: periodic basis); 0 iff admissible."""
         basis = self.periodic
         if not basis:
-            return True, None
-        m = len(self.diagram.interior_regions)
-        k = len(basis)
-        bmat = [[basis[j].coeffs[r] for j in range(k)] for r in range(m)]
-        a_ub = [[-v for v in row] for row in bmat] + [row[:] for row in bmat]
-        b_ub = [0] * m + [1] * m
-        c = [sum(bmat[r][j] for r in range(m)) for j in range(k)]
-        res = ratlp.maximize(c, a_ub, b_ub)
+            return None
+        bmat = list(zip(*(b.coeffs for b in basis)))
+        a_ub = [[-v for v in row] for row in bmat] + bmat
+        b_ub = [0] * len(bmat) + [1] * len(bmat)
+        res = ratlp.maximize([sum(b.coeffs) for b in basis], a_ub, b_ub)
         assert res.status == ratlp.OPTIMAL  # box is bounded and contains 0
-        if res.objective == 0:
+        return res
+
+    @cached_property
+    def admissibility(self) -> tuple[bool, Domain | None]:
+        """See ``admissibility``."""
+        res = self._program
+        if res is None or res.objective == 0:
             return True, None
-        coeffs = [sum(Fraction(bmat[r][j]) * res.x[j] for j in range(k))
-                  for r in range(m)]
+        coeffs = [sum(c * t for c, t in zip(row, res.x))
+                  for row in zip(*(b.coeffs for b in self.periodic))]
         scale = math.lcm(*(v.denominator for v in coeffs))
         ints = [int(v * scale) for v in coeffs]
         g = math.gcd(*ints)
         witness = Domain(self.diagram, [v // g for v in ints])
         assert witness.is_nonnegative() and not witness.is_zero()
         return False, witness
+
+    @cached_property
+    def area(self) -> tuple[int, ...]:
+        """The area form of an admissible diagram.  At the program's optimum
+        0 its duals, nu for B t >= 0 and mu for B t <= 1, have mu = 0 and
+        B^T (1 + nu) = 0, so 1 + nu scaled to integers is one."""
+        res = self._program
+        if res is None:
+            return (1,) * len(self.diagram.interior_regions)
+        assert res.objective == 0, "an inadmissible diagram has no area form"
+        w = [1 + nu for nu in res.dual[:len(res.dual) // 2]]
+        scale = math.lcm(*(v.denominator for v in w))
+        return tuple(int(v * scale) for v in w)
 
 
 def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:
@@ -295,49 +313,35 @@ def require_admissible(d: Diagram) -> None:
 # -- positive domain enumeration ---------------------------------------------
 
 
-def positive_connecting_domains(d: Diagram, x: Generator, y: Generator,
-                                maslov: int | None = None) -> list[Domain]:
-    """All nonnegative domains from x to y.  Requires an admissible diagram,
-    which is exactly the condition that makes this set finite.  Passing
-    ``maslov`` keeps only domains of that index."""
+def positive_connecting_domains(d: Diagram, x: Generator,
+                                y: Generator) -> list[Domain]:
+    """All nonnegative domains from x to y, ordered by coefficients.
+    Requires an admissible diagram, which is exactly the condition that
+    makes this set finite."""
     require_admissible(d)
     base = connecting_domain(d, x, y)
     if base is None:
         return []
-    out = _positive_solutions(d, base)
-    if maslov is not None:
-        from .spinc import maslov_index
-        out = [dom for dom in out if maslov_index(d, dom, x, y) == maslov]
-    return out
-
-
-def _positive_solutions(d: Diagram, base: Domain) -> list[Domain]:
-    basis = d.defects.periodic
-    if not basis:
-        return [base] if base.is_nonnegative() else []
-    m = len(d.interior_regions)
-    k = len(basis)
-    # base + sum t_j * basis_j >= 0, i.e. -B t <= base, and admissibility
-    # kills the recession cone, so each t_j ranges over a finite interval
-    a_ub = [[-basis[j].coeffs[r] for j in range(k)] for r in range(m)]
-    b_ub = [base.coeffs[r] for r in range(m)]
-    ranges = []
-    for j in range(k):
-        c = [0] * k
-        c[j] = 1
-        hi = ratlp.maximize(c, a_ub, b_ub)
-        if hi.status == ratlp.INFEASIBLE:
-            return []
-        lo = ratlp.minimize(c, a_ub, b_ub)
-        assert hi.status == ratlp.OPTIMAL and lo.status == ratlp.OPTIMAL
-        ranges.append(range(math.ceil(lo.objective), math.floor(hi.objective) + 1))
+    # D = base + sum t_j * basis_j >= 0.  Basis vector j starts at row
+    # leads[j], so rows cuts[j] up to cuts[j + 1] are final once t_0..t_j-1
+    # are chosen, and row leads[j] bounds t_j by 0 <= D_lead <= A // w_lead.
+    basis, w = d.defects.periodic, d.defects.area
+    area = sum(a * c for a, c in zip(w, base.coeffs))
+    leads = [next(i for i, c in enumerate(b.coeffs) if c) for b in basis]
+    cuts = [0] + leads + [len(w)]
     out = []
-    for ts in itertools.product(*ranges):
-        dom = base
-        for t, b in zip(ts, basis):
-            if t:
-                dom = dom + b.scaled(t)
-        if dom.is_nonnegative():
-            out.append(dom)
+
+    def walk(j: int, cur: list[int]) -> None:
+        if any(c < 0 for c in cur[cuts[j]:cuts[j + 1]]):
+            return
+        if j == len(basis):
+            out.append(Domain(d, cur))
+            return
+        vec, lead = basis[j].coeffs, leads[j]
+        p = vec[lead]  # positive in the echelon form
+        for t in range(-(cur[lead] // p), (area // w[lead] - cur[lead]) // p + 1):
+            walk(j + 1, [a + t * b for a, b in zip(cur, vec)])
+
+    walk(0, list(base.coeffs))
     out.sort(key=lambda dom: dom.coeffs)
     return out

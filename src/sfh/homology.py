@@ -240,8 +240,8 @@ class SFHResult:
 
 def class_homology(d: Diagram, cls: SpincClass) -> ClassHomology:
     members = cls.members
-    gradings = relative_gradings(d, members)
     modulus = grading_modulus(d, min(members))
+    gradings = relative_gradings(d, members, modulus)
     rows = boundary_matrix(d, members)
     verify_d_squared(d, members, rows)
     by_grading: dict[int, list[int]] = {}

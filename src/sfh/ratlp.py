@@ -2,9 +2,11 @@
 
 A small two-phase tableau simplex on Fraction arithmetic.  Bland's rule
 everywhere, so termination is guaranteed and results are exact; speed is a
-non-goal since the instances here have at most a few dozen variables.
+non-goal since it serves one program per diagram, the admissibility check
+of ``domains.DefectSystem``.
 
-The one entry point solves:  maximize c.x  subject to  a x <= b,  x free.
+The one entry point solves:  maximize c.x  subject to  a x <= b,  x free,
+and returns an optimal point with optimal duals.
 """
 from __future__ import annotations
 
@@ -18,9 +20,11 @@ INFEASIBLE = "infeasible"
 
 @dataclass
 class LPResult:
+    """When OPTIMAL, dual holds y >= 0 per row of a: y.a = c, y.b = objective."""
     status: str
     objective: Fraction | None
     x: list[Fraction] | None
+    dual: list[Fraction] | None = None
 
 
 def maximize(c: list, a: list[list], b: list) -> LPResult:
@@ -140,11 +144,5 @@ def maximize(c: list, a: list[list], b: list) -> LPResult:
     for i in range(m):
         xs[basis[i]] = rhs[i]
     x = [xs[j] - xs[n + j] for j in range(n)]
-    return LPResult(OPTIMAL, objval, x)
-
-
-def minimize(c: list, a: list[list], b: list) -> LPResult:
-    res = maximize([-Fraction(v) for v in c], a, b)
-    if res.status == OPTIMAL:
-        return LPResult(OPTIMAL, -res.objective, res.x)
-    return res
+    # duals: slack reduced costs (a row negated for b < 0 negated its slack)
+    return LPResult(OPTIMAL, objval, x, objrow[2 * n:nv])

@@ -3,7 +3,7 @@
 Generators split into classes (two generators belong together exactly when
 some domain connects them), each class carries relative integer gradings
 from the Maslov index, and the grading is exact modulo the gcd of Maslov
-indices of periodic domains.
+indices of periodic domains.  The index is summed in integer quarters.
 
 The class partition has an independent homological description: connect y
 to x by arcs along the alpha circles and back along the beta circles; the
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram import Diagram, Generator, enumerate_generators
 from .domains import Domain, connecting_domain, defect_rhs
@@ -47,12 +46,6 @@ def spinc_partition(d: Diagram,
 # -- Maslov index -------------------------------------------------------------
 
 
-def point_measure(d: Diagram, dom: Domain, v: int) -> Fraction:
-    """Average multiplicity of the four quadrants at a crossing."""
-    total = sum(dom.coeff(c.region) for c in d.quadrants[v])
-    return Fraction(total, 4)
-
-
 def maslov_index(d: Diagram, dom: Domain, x: Generator,
                  y: Generator) -> int | None:
     """Index of a domain from x to y: Euler measure plus the two point
@@ -61,15 +54,11 @@ def maslov_index(d: Diagram, dom: Domain, x: Generator,
     for row, want in zip(d.defects.rows, rhs):
         if sum(a * c for a, c in zip(row, dom.coeffs)) != want:
             return None
-    e = Fraction(0)
-    for r, c in zip(d.interior_regions, dom.coeffs):
-        if c:
-            e += c * (Fraction(d.regions[r].euler())
-                      - Fraction(d.crossing_corner_count[r], 4))
-    total = e + sum(point_measure(d, dom, v) for v in x) \
-              + sum(point_measure(d, dom, v) for v in y)
-    assert total.denominator == 1, f"fractional index {total} for a connecting domain"
-    return int(total)
+    c, quads = dom.coeffs, d.defects.quads
+    total = sum(w * a for w, a in zip(d.defects.euler, c)) \
+        + sum(c[i] for v in (*x, *y) for i in quads[v])
+    assert total % 4 == 0, f"fractional index {total}/4 for a connecting domain"
+    return total // 4
 
 
 def grading_modulus(d: Diagram, member: Generator) -> int:
@@ -78,14 +67,14 @@ def grading_modulus(d: Diagram, member: Generator) -> int:
     return math.gcd(*vals) if vals else 0
 
 
-def relative_gradings(d: Diagram, members: tuple[Generator, ...]) -> dict[Generator, int]:
+def relative_gradings(d: Diagram, members: tuple[Generator, ...],
+                      modulus: int) -> dict[Generator, int]:
     """Gradings within one class, normalized so the least member sits at 0.
 
     Differences gr(x) - gr(y) equal the Maslov index of any domain from x
-    to y, reduced modulo the class modulus when that is nonzero.
+    to y, reduced modulo ``modulus`` (see ``grading_modulus``) when nonzero.
     """
     least = min(members)
-    modulus = grading_modulus(d, least)
     out = {}
     for g in members:
         if g == least:

@@ -1,9 +1,11 @@
 """Domains: defect system, periodic lattice, connecting domains, admissibility."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from sfh.builders import build_example
+from sfh.builders import BUILDERS, build_example
 from sfh.diagram import ALPHA, BETA, enumerate_generators
 from sfh.domains import (
     Domain,
@@ -18,6 +20,8 @@ from sfh.domains import (
     positive_connecting_domains,
     require_admissible,
 )
+from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
+from sfh.spinc import maslov_index
 
 from oracles import brute_force_positive_domains, connects
 
@@ -33,8 +37,6 @@ def test_domain_algebra():
     b = Domain.from_dict(d, {1: 1, 2: -1})
     assert (a + b).as_dict() == {1: 3, 2: -1}
     assert (a - b).as_dict() == {1: 1, 2: 1}
-    assert (-b).as_dict() == {1: -1, 2: 1}
-    assert b.scaled(3).as_dict() == {1: 3, 2: -3}
     assert a != b and a == Domain.from_dict(d, {1: 2})
     assert hash(a) == hash(Domain.from_dict(d, {1: 2}))
     assert a.coeff(1) == 2 and a.coeff(2) == 0
@@ -182,6 +184,19 @@ def test_connecting_domain_rejects_bad_generators():
 # -- admissibility ---------------------------------------------------------------
 
 
+def _area_variants():
+    for name in BUILDERS:
+        d = build_example(name)
+        yield d
+        yield stabilize(d, min(d.regions))
+        yield insert_marker(d, min(d.edges))
+        yield permute_ids(d, 1)
+    yield disjoint_union(build_example("spheres", [3]), build_example("s1s2"))
+    yield disjoint_union(build_example("torus_lens", [3]),
+                         build_example("annulus_s3_2"))
+    yield disjoint_union(build_example("s1s2"), build_example("s1s2_disjoint"))
+
+
 def test_corpus_admissibility():
     admissible = ["product", "torus_lens", "s1s2", "annulus_s3_2", "spheres",
                   "lens_knot", "nontaut", "hexagon"]
@@ -193,6 +208,19 @@ def test_corpus_admissibility():
         assert ok and witness is None, name
         assert is_admissible(d)
         require_admissible(d)  # must not raise
+    # the area form: positive integers under which periodic domains have
+    # area zero, on the corpus, its move variants and disjoint unions
+    checked = 0
+    for d in _area_variants():
+        if not is_admissible(d):
+            continue
+        w = d.defects.area
+        assert len(w) == len(d.interior_regions), d.name
+        assert all(isinstance(v, int) and v > 0 for v in w), d.name
+        for p in periodic_basis(d):
+            assert sum(a * c for a, c in zip(w, p.coeffs)) == 0, d.name
+        checked += 1
+    assert checked >= 30
 
 
 def test_inadmissible_witness():
@@ -229,11 +257,14 @@ def test_positive_domains_s1s2():
 def test_positive_domains_maslov_filter():
     d = build_example("s1s2", [])
     x, y = enumerate_generators(d)
-    one = positive_connecting_domains(d, y, x, maslov=1)
-    assert {dom.describe() for dom in one} == {"r1:1", "r2:1"}
-    assert positive_connecting_domains(d, y, x, maslov=2) == []
-    assert positive_connecting_domains(d, x, x, maslov=0) \
-        == [Domain.zero(d)]
+
+    def of_index(a, b, index):
+        return [dom for dom in positive_connecting_domains(d, a, b)
+                if maslov_index(d, dom, a, b) == index]
+
+    assert {dom.describe() for dom in of_index(y, x, 1)} == {"r1:1", "r2:1"}
+    assert of_index(y, x, 2) == []
+    assert of_index(x, x, 0) == [Domain.zero(d)]
 
 
 def test_positive_domains_match_brute_force():
@@ -248,6 +279,34 @@ def test_positive_domains_match_brute_force():
                              for dom in positive_connecting_domains(d, x, y))
                 want = brute_force_positive_domains(d, x, y, cap=4)
                 assert got == want, (name, x, y)
+
+
+def test_positive_domains_under_a_nonuniform_area():
+    # every packaged diagram gets the all-ones area form, so give each band's
+    # two bigons its own weight (2, 3, ...) to exercise D_r <= A // w_r
+    spheres3 = build_example("spheres", [3])
+    for d, limit in ((build_example("spheres", [4]), math.inf),
+                     (disjoint_union(spheres3, spheres3), 1)):
+        assert d.defects.area == (1,) * len(d.interior_regions)
+        w = [1] * len(d.interior_regions)
+        for i, p in enumerate(periodic_basis(d), start=2):
+            for r, c in enumerate(p.coeffs):
+                if c:
+                    w[r] = i
+        for p in periodic_basis(d):
+            assert sum(a * c for a, c in zip(w, p.coeffs)) == 0
+        d.defects.area = tuple(w)
+        gens = enumerate_generators(d)
+        for x in gens:
+            for y in gens:
+                got = [dom.coeffs for dom in positive_connecting_domains(d, x, y)]
+                # all-ones is an area form too, so no coefficient exceeds the
+                # base's total; the union limits that cap to 1, since the full
+                # cap costs minutes there, and spheres(4) covers the rest
+                base = connecting_domain(d, x, y)
+                cap = max(sum(base.coeffs), 0) if base is not None else 0
+                want = brute_force_positive_domains(d, x, y, min(cap, limit))
+                assert got == want, (x, y)
 
 
 def test_positive_domains_require_admissible():

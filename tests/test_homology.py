@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sfh import cli, intlinalg
+from sfh import cli, intlinalg, ratlp
 from sfh.builders import build_example
 from sfh.diagram import (ALPHA, BD, Diagram, Edge, InvalidDiagramError, MARKER,
                          NotBalancedError, Region, Vertex, enumerate_generators)
@@ -17,7 +17,8 @@ from sfh.homology import (ClassHomology, NotNiceError, SFHResult, _rigid,
                           niceness_report, require_nice, sfh,
                           verify_d_squared)
 from sfh.moves import disjoint_union
-from sfh.spinc import maslov_index, relative_gradings, spinc_partition
+from sfh.spinc import (grading_modulus, maslov_index, relative_gradings,
+                       spinc_partition)
 
 from oracles import brute_force_boundary_matrix, oracle_rigid
 
@@ -84,7 +85,9 @@ def test_rigid_matches_polygon_gluing_oracle():
         d = build_example(name, params)
         gens = enumerate_generators(d)
         for x, y in itertools.permutations(gens, 2):
-            for dom in positive_connecting_domains(d, x, y, maslov=1):
+            for dom in positive_connecting_domains(d, x, y):
+                if maslov_index(d, dom, x, y) != 1:
+                    continue
                 got = _rigid(d, dom, x, y)
                 want = oracle_rigid(d, dom.coeffs, x, y)
                 assert got == want, (name, x, y, dom.describe())
@@ -118,7 +121,8 @@ def test_boundary_drops_grading_by_one():
     for name, params in NICE_CORPUS:
         d = build_example(name, params)
         for cls in spinc_partition(d):
-            grades = relative_gradings(d, cls.members)
+            grades = relative_gradings(d, cls.members,
+                                       grading_modulus(d, min(cls.members)))
             rows = boundary_matrix(d, cls.members)
             for i, x in enumerate(cls.members):
                 for j, y in enumerate(cls.members):
@@ -224,15 +228,15 @@ def test_sfh_error_paths():
         sfh(broken)
 
 
-def _count_smith_forms(monkeypatch) -> list[int]:
+def _count_calls(monkeypatch, owner, name) -> list[int]:
     calls = []
-    original = intlinalg.smith_normal_form
+    original = getattr(owner, name)
 
-    def counting(a):
-        calls.append(len(a))
-        return original(a)
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
 
-    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -240,21 +244,27 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
     spheres = build_example("spheres", [4])
     lens = build_example("torus_lens", [5])
     union = disjoint_union(spheres, lens)
-    calls = _count_smith_forms(monkeypatch)
-    for d in (spheres, lens, union):
-        calls.clear()
+    smith = _count_calls(monkeypatch, intlinalg, "smith_normal_form")
+    lps = _count_calls(monkeypatch, ratlp, "maximize")
+    # one admissibility program per diagram with periodic domains, and
+    # none for the positive-domain searches
+    for d, programs in ((spheres, 1), (lens, 0), (union, 1)):
+        smith.clear()
+        lps.clear()
         sfh(d)
-        assert len(calls) == 1
+        assert (len(smith), len(lps)) == (1, programs)
         sfh(d)  # the same diagram object keeps its factorization
-        assert len(calls) == 1
+        assert (len(smith), len(lps)) == (1, programs)
 
 
 def test_cli_compute_factors_the_defect_matrix_once(monkeypatch, capsys):
-    calls = _count_smith_forms(monkeypatch)
+    smith = _count_calls(monkeypatch, intlinalg, "smith_normal_form")
+    checks = _count_calls(monkeypatch, Diagram, "validation_errors")
     diagrams = Path(__file__).resolve().parent.parent / "diagrams"
     assert cli.main(["compute", str(diagrams / "spheres_3.shd")]) == 0
     assert "total 4" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(smith) == 1
+    assert len(checks) == 1  # the CLI and sfh() share one validation
 
 
 def test_graded_euler_characteristic_matches_complex():
@@ -262,7 +272,8 @@ def test_graded_euler_characteristic_matches_complex():
     for name, params in NICE_CORPUS:
         d = build_example(name, params)
         for cls in spinc_partition(d):
-            grades = relative_gradings(d, cls.members)
+            grades = relative_gradings(d, cls.members,
+                                       grading_modulus(d, min(cls.members)))
             h = class_homology(d, cls)
             chain = sum((-1) ** g for g in grades.values())
             homol = sum((-1) ** g * r for g, r in h.ranks.items())

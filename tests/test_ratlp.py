@@ -72,6 +72,12 @@ def test_simplex_matches_vertex_enumeration():
                 sum(Fraction(a[i][j]) * res.x[j] for j in range(n)) <= b[i]
                 for i in range(len(a)))
             assert sum(Fraction(c[j]) * res.x[j] for j in range(n)) == want
+            # the duals certify optimality: y >= 0, y.a = c and y.b = objective
+            y = res.dual
+            assert len(y) == len(a) and all(v >= 0 for v in y)
+            assert all(sum(y[i] * a[i][j] for i in range(len(a))) == c[j]
+                       for j in range(n))
+            assert sum(v * bi for v, bi in zip(y, b)) == want
             checked += 1
     assert checked > 80
 
@@ -87,13 +93,6 @@ def test_infeasible_detected():
     # x <= -1 and -x <= 0 cannot both hold
     res = ratlp.maximize([1], [[1], [-1]], [-1, 0])
     assert res.status == ratlp.INFEASIBLE
-
-
-def test_minimize_wrapper():
-    res = ratlp.minimize([1], [[1], [-1]], [3, 2])  # -2 <= x <= 3
-    assert res.status == ratlp.OPTIMAL
-    assert res.objective == -2
-    assert res.x == [Fraction(-2)]
 
 
 def test_exact_fractions():

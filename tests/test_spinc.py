@@ -11,7 +11,6 @@ from sfh.domains import Domain, connecting_domain, periodic_basis
 from sfh.spinc import (
     grading_modulus,
     maslov_index,
-    point_measure,
     relative_gradings,
     spinc_partition,
 )
@@ -115,11 +114,13 @@ def test_maslov_spheres_values():
 
 def test_point_measure_quarters():
     d = build_example("s1s2", [])
-    b1 = Domain.from_dict(d, {1: 1})
-    # the bigon has one corner at each crossing
-    from fractions import Fraction
-    assert point_measure(d, b1, 1) == Fraction(1, 4)
-    assert point_measure(d, b1, 2) == Fraction(1, 4)
+    # each bigon: 4 * (Euler characteristic 1) minus its 2 corners
+    assert d.interior_regions == [1, 2] and d.defects.euler == [2, 2]
+    # each crossing has one interior corner in each bigon
+    assert {v: sorted(cols) for v, cols in d.defects.quads.items()} \
+        == {1: [0, 1], 2: [0, 1]}
+    x, y = enumerate_generators(d)
+    assert maslov_index(d, Domain.from_dict(d, {1: 1}), y, x) == 1
 
 
 # -- modulus and relative gradings ------------------------------------------------
@@ -144,20 +145,21 @@ def test_relative_gradings_frozen():
     }
     for (name, params), want in cases.items():
         d = build_example(name, list(params))
-        got = [relative_gradings(d, c.members) for c in spinc_partition(d)]
+        got = [relative_gradings(d, c.members, grading_modulus(d, min(c.members)))
+               for c in spinc_partition(d)]
         assert got == want, name
 
 
 def test_relative_gradings_reject_cross_class():
     d = build_example("torus_lens", [3])
     with pytest.raises(ValueError, match="not in the same class"):
-        relative_gradings(d, ((1,), (2,)))
+        relative_gradings(d, ((1,), (2,)), 0)
 
 
 def test_grading_difference_is_maslov():
     d = build_example("spheres", [4])
     for c in spinc_partition(d):
-        grades = relative_gradings(d, c.members)
+        grades = relative_gradings(d, c.members, grading_modulus(d, min(c.members)))
         for x, y in itertools.permutations(c.members, 2):
             dom = connecting_domain(d, x, y)
             assert grades[x] - grades[y] == maslov_index(d, dom, x, y)
