@@ -131,12 +131,13 @@ class Domain:
 
 class DefectSystem:
     """One diagram's defect matrix and what derives from it: the Smith
-    factorization, the echelon periodic basis, the admissibility verdict
-    and the area form, each built at most once, on first use.  euler and
-    quads give four times the Maslov index in integers: 4 e(r) minus its
-    crossing corners per interior region r, and per crossing the columns of
-    its interior quadrants.  The diagram holds this object as
-    ``Diagram.defects``; rows and labels are described at
+    factorization, the per-crossing images of right-hand sides, the echelon
+    periodic basis, the admissibility verdict and the area form, each built
+    at most once, on first use.  euler and quads give four times the Maslov
+    index in integers: 4 e(r) minus its crossing corners per interior
+    region r, and per crossing the columns of its interior quadrants
+    (combined per pair by ``spinc.index_weights``).  The diagram holds this
+    object as ``Diagram.defects``; rows and labels are described at
     ``defect_system``.  Everything here is shared and must not be modified.
     """
 
@@ -173,6 +174,16 @@ class DefectSystem:
         Only built for diagrams with interior regions."""
         n = len(self.diagram.interior_regions)
         return intlinalg.smith_normal_form(self.rows or [[0] * n])
+
+    @cached_property
+    def images(self) -> dict[int, list[int]]:
+        """u (alpha unit - beta unit) per crossing, for u from ``smith``.
+        The right-hand side from x to y adds that column for each point of
+        y not in x and subtracts it for each point of x not in y, so its
+        image under u is the same sum of images."""
+        u = self.smith[0]
+        return {v: [row[2 * i] - row[2 * i + 1] for row in u]
+                for i, v in enumerate(self.diagram.crossings)}
 
     @cached_property
     def periodic(self) -> tuple[Domain, ...]:
@@ -270,12 +281,16 @@ def connecting_domain(d: Diagram, x: Generator, y: Generator) -> Domain | None:
     """
     _check_generator(d, x)
     _check_generator(d, y)
-    rhs = defect_rhs(d, x, y)
+    xs, ys = set(x), set(y)
     if not d.interior_regions:
-        return Domain(d, ()) if all(v == 0 for v in rhs) else None
-    if not rhs:
-        return Domain.zero(d)
-    sol = intlinalg.solve(d.defects.smith, rhs)
+        return Domain(d, ()) if xs == ys else None
+    images = d.defects.images
+    ub = [0] * len(d.defects.smith[0])
+    for v in ys - xs:
+        ub = [a + b for a, b in zip(ub, images[v])]
+    for v in xs - ys:
+        ub = [a - b for a, b in zip(ub, images[v])]
+    sol = intlinalg.solve(d.defects.smith, ub)
     if sol is None:
         return None
     for b in d.defects.periodic:

@@ -2,18 +2,20 @@
 
 Pipeline: validate, check balance, check admissibility, check that every
 interior region is a bigon or a square (the shape that makes disc counts
-purely combinatorial), then count.  The differential sends a generator to
-the mod-2 sum of generators reachable by an index-1 nonnegative domain that
-passes the rigidity test below.
+purely combinatorial), then count.  ``sfh`` is what enforces that niceness.
+On a nice diagram every nonnegative index-1 domain is an empty embedded
+bigon or rectangle and carries exactly one disc (Sarkar-Wang,
+math/0607777, Thm 3.3), so the differential sends a generator to the mod-2
+sum of generators reachable by such a domain, each domain counted once.
+``verify_d_squared`` checks the result on every class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .diagram import Diagram, Generator, NotBalancedError, balance_report
-from .domains import (Domain, h2_rank, positive_connecting_domains,
-                      require_admissible)
-from .spinc import (SpincClass, grading_modulus, maslov_index,
+from .domains import h2_rank, positive_connecting_domains, require_admissible
+from .spinc import (SpincClass, grading_modulus, index_weights, maslov_index,
                     relative_gradings, spinc_partition)
 
 
@@ -47,89 +49,29 @@ def require_nice(d: Diagram) -> None:
         raise NotNiceError("; ".join(problems))
 
 
-# -- rigid disc counting ------------------------------------------------------
-
-
-def _support_is_disc(d: Diagram, support: set[int]) -> bool:
-    # connected and Euler characteristic 1, computed on the closed support
-    edges = set()
-    adj: dict[int, set[int]] = {r: set() for r in support}
-    for eid, (pos, neg) in d.edge_sides.items():
-        p_in = pos in support
-        n_in = neg in support
-        if p_in or n_in:
-            edges.add(eid)
-        if p_in and n_in and pos != neg:
-            adj[pos].add(neg)
-            adj[neg].add(pos)
-    seen = set()
-    stack = [next(iter(support))]
-    while stack:
-        r = stack.pop()
-        if r in seen:
-            continue
-        seen.add(r)
-        stack.extend(adj[r] - seen)
-    if seen != support:
-        return False
-    verts = set()
-    for eid in edges:
-        e = d.edges[eid]
-        verts.add(e.tail)
-        verts.add(e.head)
-    chi = len(verts) - len(edges) + sum(d.regions[r].euler() for r in support)
-    return chi == 1
-
-
-def _rigid(d: Diagram, dom: Domain, x: Generator, y: Generator) -> int:
-    if any(c not in (0, 1) for c in dom.coeffs):
-        return 0
-    xs, ys = set(x), set(y)
-    moved_out = xs - ys
-    moved_in = ys - xs
-    if len(moved_out) != len(moved_in) or len(moved_out) not in (1, 2):
-        return 0
-    support = {r for r, c in zip(d.interior_regions, dom.coeffs) if c}
-    if not support or not _support_is_disc(d, support):
-        return 0
-    for v in d.crossings:
-        quads = d.quadrants[v]
-        occ = [1 if c.region in support else 0 for c in quads]
-        total = sum(occ)
-        if v in moved_out or v in moved_in:
-            if total != 1:
-                return 0
-        elif v in xs:  # stationary point of both generators
-            if total != 0:
-                return 0
-        else:
-            if total == 2:
-                # the two occupied quadrants must share a curve ray,
-                # i.e. be cyclically adjacent in the quadrant cycle
-                pair_ok = any(occ[i] and occ[(i + 1) % 4] for i in range(4))
-                if not pair_ok:
-                    return 0
-            elif total not in (0, 4):
-                return 0
-    return 1
-
-
 # -- the complex --------------------------------------------------------------
 
 
 def boundary_matrix(d: Diagram, members: tuple[Generator, ...]) -> list[int]:
     """GF(2) differential on one class: row i is a bitmask, bit j set when
-    generator j appears in the boundary of generator i."""
+    an odd number of nonnegative index-1 domains lead from generator i to
+    generator j.
+
+    The diagram must be nice, as ``sfh`` enforces: there each such domain
+    is an empty embedded bigon or rectangle with exactly one holomorphic
+    representative (Sarkar-Wang, Thm 3.3), so counting the domains counts
+    the discs.  A domain has index 1 when w.D = 4 for the pair's
+    ``index_weights`` w.
+    """
     rows = []
     for x in members:
         row = 0
         for j, y in enumerate(members):
             if x == y:
                 continue
-            count = 0
-            for dom in positive_connecting_domains(d, x, y):
-                if maslov_index(d, dom, x, y) == 1:
-                    count += _rigid(d, dom, x, y)
+            w = index_weights(d, x, y)
+            count = sum(1 for dom in positive_connecting_domains(d, x, y)
+                        if sum(a * c for a, c in zip(w, dom.coeffs)) == 4)
             if count % 2:
                 row |= 1 << j
         rows.append(row)

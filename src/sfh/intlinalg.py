@@ -170,19 +170,19 @@ def hermite_columns(bmat: list[list[int]]) -> list[list[int]]:
     return done
 
 
-def solve(snf, b: list[int]) -> list[int] | None:
+def solve(snf, ub: list[int]) -> list[int] | None:
     """One integer solution x of a x = b, or None when there is none, from
-    snf = smith_normal_form(a) of a matrix a with at least one row."""
-    u, s, v = snf
-    m, n = len(u), len(v)
-    c = mat_vec(u, b)
+    snf = (u, s, v) = smith_normal_form(a) of a matrix a with at least one
+    row and the image ub = u b of the right-hand side."""
+    _, s, v = snf
+    m, n = len(s), len(v)
     y = [0] * n
     for i in range(m):
         d = s[i][i] if i < min(m, n) else 0
         if d:
-            if c[i] % d != 0:
+            if ub[i] % d != 0:
                 return None
-            y[i] = c[i] // d
-        elif c[i] != 0:
+            y[i] = ub[i] // d
+        elif ub[i] != 0:
             return None
     return mat_vec(v, y)

@@ -3,7 +3,9 @@
 Generators split into classes (two generators belong together exactly when
 some domain connects them), each class carries relative integer gradings
 from the Maslov index, and the grading is exact modulo the gcd of Maslov
-indices of periodic domains.  The index is summed in integer quarters.
+indices of periodic domains.  The index is summed in integer quarters:
+``index_weights(d, x, y)`` gives region weights w with w.D = 4 mu(D) for
+every domain D from x to y, so one pair's weights serve all its domains.
 
 The class partition has an independent homological description: connect y
 to x by arcs along the alpha circles and back along the beta circles; the
@@ -28,11 +30,10 @@ class SpincClass:
     members: tuple[Generator, ...]
 
 
-def spinc_partition(d: Diagram,
-                    generators: list[Generator] | None = None) -> list[SpincClass]:
+def spinc_partition(d: Diagram) -> list[SpincClass]:
     """Generators grouped by domain-connectedness, ids in order of least member."""
     groups: list[list[Generator]] = []
-    for g in (enumerate_generators(d) if generators is None else sorted(generators)):
+    for g in enumerate_generators(d):
         for members in groups:
             if connecting_domain(d, g, members[0]) is not None:
                 members.append(g)
@@ -46,6 +47,18 @@ def spinc_partition(d: Diagram,
 # -- Maslov index -------------------------------------------------------------
 
 
+def index_weights(d: Diagram, x: Generator, y: Generator) -> list[int]:
+    """Region weights w with w.D = 4 mu(D) for every domain D from x to y:
+    the Euler weights, plus one on each interior quadrant at each point of
+    x and each point of y."""
+    w = list(d.defects.euler)
+    quads = d.defects.quads
+    for v in (*x, *y):
+        for i in quads[v]:
+            w[i] += 1
+    return w
+
+
 def maslov_index(d: Diagram, dom: Domain, x: Generator,
                  y: Generator) -> int | None:
     """Index of a domain from x to y: Euler measure plus the two point
@@ -54,9 +67,7 @@ def maslov_index(d: Diagram, dom: Domain, x: Generator,
     for row, want in zip(d.defects.rows, rhs):
         if sum(a * c for a, c in zip(row, dom.coeffs)) != want:
             return None
-    c, quads = dom.coeffs, d.defects.quads
-    total = sum(w * a for w, a in zip(d.defects.euler, c)) \
-        + sum(c[i] for v in (*x, *y) for i in quads[v])
+    total = sum(w * c for w, c in zip(index_weights(d, x, y), dom.coeffs))
     assert total % 4 == 0, f"fractional index {total}/4 for a connecting domain"
     return total // 4
 

@@ -8,17 +8,18 @@ import pytest
 
 from sfh import cli, intlinalg, ratlp
 from sfh.builders import build_example
-from sfh.diagram import (ALPHA, BD, Diagram, Edge, InvalidDiagramError, MARKER,
-                         NotBalancedError, Region, Vertex, enumerate_generators)
+from sfh.diagram import (ALPHA, BD, BETA, CROSSING, Diagram, Edge,
+                         InvalidDiagramError, MARKER, NotBalancedError, Region,
+                         Vertex, enumerate_generators)
 from sfh.domains import (Domain, NotAdmissibleError, connecting_domain,
                          positive_connecting_domains)
-from sfh.homology import (ClassHomology, NotNiceError, SFHResult, _rigid,
+from sfh.homology import (ClassHomology, NotNiceError, SFHResult,
                           boundary_matrix, class_homology, is_nice,
                           niceness_report, require_nice, sfh,
                           verify_d_squared)
-from sfh.moves import disjoint_union
-from sfh.spinc import (grading_modulus, maslov_index, relative_gradings,
-                       spinc_partition)
+from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
+from sfh.spinc import (grading_modulus, index_weights, maslov_index,
+                       relative_gradings, spinc_partition)
 
 from oracles import brute_force_boundary_matrix, oracle_rigid
 
@@ -33,6 +34,42 @@ NICE_CORPUS = [
     ("lens_knot", [3]),
     ("nontaut", []),
 ]
+
+
+def _punctured_bigon() -> Diagram:
+    """The s1s2 torus with one puncture in the big region and one in the
+    first bigon.  The empty second bigon is then the only domain between the
+    two generators, so the differential is nonzero; an isotopy across that
+    bigon removes both crossings, so the homology is zero."""
+    vertices = [Vertex(1, CROSSING), Vertex(2, CROSSING),
+                Vertex(3, MARKER), Vertex(4, MARKER)]
+    edges = [
+        Edge(1, ALPHA, 1, 2, 1), Edge(2, ALPHA, 1, 1, 2),
+        Edge(3, BETA, 1, 2, 1), Edge(4, BETA, 1, 1, 2),
+        Edge(5, BD, 1, 3, 3), Edge(6, BD, 2, 4, 4),
+    ]
+    regions = [
+        Region(1, 0, ((1, -3), (6,))),
+        Region(2, 0, ((4, -2),)),
+        Region(3, 0, ((3, 2), (-1, -4), (5,))),
+    ]
+    return Diagram(vertices, edges, regions, name="punctured-bigon")
+
+
+def _nice_variants():
+    """The nice corpus and the punctured bigon, each entry also relabeled,
+    with a marker inserted and stabilized in a boundary region, and one
+    disjoint union."""
+    corpus = [build_example(name, params) for name, params in NICE_CORPUS]
+    for d in corpus + [_punctured_bigon()]:
+        outer = min(set(d.regions) - set(d.interior_regions))
+        yield d
+        yield permute_ids(d, 1)
+        yield insert_marker(d, min(d.edges))
+        yield stabilize(d, outer)
+    # two punctured bigons give an index-2 domain counted once
+    yield disjoint_union(disjoint_union(build_example("spheres", [2]),
+                                        _punctured_bigon()), _punctured_bigon())
 
 
 # -- niceness -------------------------------------------------------------------
@@ -69,28 +106,33 @@ def test_niceness_flags_genus_and_extra_cycles():
 def test_rigid_count_bigons():
     d = build_example("s1s2", [])
     x, y = enumerate_generators(d)
-    assert _rigid(d, Domain.from_dict(d, {1: 1}), y, x) == 1
-    assert _rigid(d, Domain.from_dict(d, {2: 1}), y, x) == 1
+    assert oracle_rigid(d, Domain.from_dict(d, {1: 1}).coeffs, y, x) == 1
+    assert oracle_rigid(d, Domain.from_dict(d, {2: 1}).coeffs, y, x) == 1
 
 
 def test_rigid_count_rectangles(grid2):
     x, y = enumerate_generators(grid2)
-    assert _rigid(grid2, Domain.from_dict(grid2, {1: 1}), x, y) == 1
-    assert _rigid(grid2, Domain.from_dict(grid2, {2: 1}), x, y) == 1
+    assert oracle_rigid(grid2, Domain.from_dict(grid2, {1: 1}).coeffs, x, y) == 1
+    assert oracle_rigid(grid2, Domain.from_dict(grid2, {2: 1}).coeffs, x, y) == 1
 
 
 def test_rigid_matches_polygon_gluing_oracle():
-    # compare on every nonnegative index-1 domain in the nice corpus
-    for name, params in NICE_CORPUS:
-        d = build_example(name, params)
-        gens = enumerate_generators(d)
-        for x, y in itertools.permutations(gens, 2):
+    # Sarkar-Wang, Thm 3.3: on a nice diagram every nonnegative index-1
+    # domain is an embedded bigon or rectangle, which the polygon-gluing
+    # oracle recognizes; and the pair's weights give four times the index
+    index1 = 0
+    for d in _nice_variants():
+        assert is_nice(d), d.name
+        for x, y in itertools.permutations(enumerate_generators(d), 2):
+            w = index_weights(d, x, y)
             for dom in positive_connecting_domains(d, x, y):
-                if maslov_index(d, dom, x, y) != 1:
-                    continue
-                got = _rigid(d, dom, x, y)
-                want = oracle_rigid(d, dom.coeffs, x, y)
-                assert got == want, (name, x, y, dom.describe())
+                mu = maslov_index(d, dom, x, y)
+                assert sum(a * c for a, c in zip(w, dom.coeffs)) == 4 * mu
+                if mu == 1:
+                    assert oracle_rigid(d, dom.coeffs, x, y) == 1, (
+                        d.name, x, y, dom.describe())
+                    index1 += 1
+    assert index1 == 76
 
 
 # -- boundary matrix -------------------------------------------------------------
@@ -103,23 +145,29 @@ def test_boundary_matrix_s1s2():
     assert boundary_matrix(d, cls.members) == [0, 0]
 
 
+def test_boundary_matrix_counts_a_lone_bigon():
+    d = _punctured_bigon()
+    (cls,) = spinc_partition(d)
+    assert cls.members == ((1,), (2,))
+    assert boundary_matrix(d, cls.members) == [0, 1]
+    assert sfh(d).render_lines() == ["class s0 d 0 ranks 0", "total 0"]
+
+
 def test_boundary_matrix_grid(grid2):
     (cls,) = spinc_partition(grid2)
     assert boundary_matrix(grid2, cls.members) == [0, 0]
 
 
 def test_boundary_matrix_matches_oracle():
-    for name, params in NICE_CORPUS:
-        d = build_example(name, params)
+    for d in _nice_variants():
         for cls in spinc_partition(d):
             got = boundary_matrix(d, cls.members)
             want = brute_force_boundary_matrix(d, cls.members)
-            assert got == want, name
+            assert got == want, d.name
 
 
 def test_boundary_drops_grading_by_one():
-    for name, params in NICE_CORPUS:
-        d = build_example(name, params)
+    for d in _nice_variants():
         for cls in spinc_partition(d):
             grades = relative_gradings(d, cls.members,
                                        grading_modulus(d, min(cls.members)))
@@ -131,8 +179,7 @@ def test_boundary_drops_grading_by_one():
 
 
 def test_verify_d_squared_corpus():
-    for name, params in NICE_CORPUS:
-        d = build_example(name, params)
+    for d in _nice_variants():
         for cls in spinc_partition(d):
             verify_d_squared(d, cls.members)  # must not raise
 
@@ -246,6 +293,7 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
     union = disjoint_union(spheres, lens)
     smith = _count_calls(monkeypatch, intlinalg, "smith_normal_form")
     lps = _count_calls(monkeypatch, ratlp, "maximize")
+    products = _count_calls(monkeypatch, intlinalg, "mat_vec")
     # one admissibility program per diagram with periodic domains, and
     # none for the positive-domain searches
     for d, programs in ((spheres, 1), (lens, 0), (union, 1)):
@@ -255,6 +303,11 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
         assert (len(smith), len(lps)) == (1, programs)
         sfh(d)  # the same diagram object keeps its factorization
         assert (len(smith), len(lps)) == (1, programs)
+    # the lens classes are singletons: every partition solve fails on the
+    # cached per-crossing images, before any matrix-vector product
+    products.clear()
+    sfh(lens)
+    assert len(products) == 0
 
 
 def test_cli_compute_factors_the_defect_matrix_once(monkeypatch, capsys):
@@ -269,15 +322,14 @@ def test_cli_compute_factors_the_defect_matrix_once(monkeypatch, capsys):
 
 def test_graded_euler_characteristic_matches_complex():
     # alternating sums of chain and homology ranks agree per class
-    for name, params in NICE_CORPUS:
-        d = build_example(name, params)
+    for d in _nice_variants():
         for cls in spinc_partition(d):
             grades = relative_gradings(d, cls.members,
                                        grading_modulus(d, min(cls.members)))
             h = class_homology(d, cls)
             chain = sum((-1) ** g for g in grades.values())
             homol = sum((-1) ** g * r for g, r in h.ranks.items())
-            assert chain == homol, name
+            assert chain == homol, d.name
 
 
 def test_signature_shifts_gradings():

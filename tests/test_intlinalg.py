@@ -15,7 +15,8 @@ def _mat_eq(a, b):
 
 
 def _solve(a, b):
-    return intlinalg.solve(intlinalg.smith_normal_form(a), b)
+    snf = intlinalg.smith_normal_form(a)
+    return intlinalg.solve(snf, intlinalg.mat_vec(snf[0], b))
 
 
 def _det(a):

@@ -38,14 +38,6 @@ def test_partition_frozen():
         assert [c.id for c in classes] == [f"s{i}" for i in range(len(want))]
 
 
-def test_partition_respects_explicit_generator_list():
-    d = build_example("torus_lens", [3])
-    whole = spinc_partition(d)
-    sub = spinc_partition(d, generators=[(3,), (1,)])
-    assert [c.members for c in sub] == [((1,),), ((3,),)]
-    assert len(whole) == 3
-
-
 def test_partition_is_connectivity():
     # same class <=> a connecting domain exists, in both directions
     for name, params in [("s1s2", []), ("spheres", [3]), ("torus_lens", [2]),
