@@ -4,12 +4,14 @@ Three subcommands: ``validate`` checks a diagram file, ``compute`` runs the
 full homology pipeline, and ``example`` builds one of the packaged example
 diagrams.  ``-`` reads the diagram from stdin.
 
-Exit codes: 0 success, 1 invalid or unbalanced diagram, 2 not admissible,
-3 not nice, 10 file I/O failure, 11 usage error.
+Exit codes: 0 success, 1 invalid or unbalanced diagram (or input that is
+not UTF-8), 2 not admissible, 3 not nice, 10 file I/O failure, 11 usage
+error.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import shd
@@ -41,13 +43,19 @@ def _fail(code: int, message: str) -> "SystemExit":
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            # stdin's error handler depends on the locale and may pass
+            # undecodable bytes through as lone surrogates; decode strictly
+            text = sys.stdin.read()
+            return text.encode("utf-8", "surrogateescape").decode("utf-8")
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise _fail(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeError as exc:
+        raise _fail(EXIT_INVALID, f"cannot decode {path} as UTF-8: {exc.reason} "
+                                  f"at byte {exc.start}")
 
 
 def _load(path: str) -> Diagram:
@@ -193,9 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs more than computing a small diagram, and
+    # parsing leaves it unchanged, so one process builds it once
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit:

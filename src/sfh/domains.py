@@ -12,6 +12,14 @@ domains are the kernel.  Sign convention, fixed once and used everywhere:
 the alpha part of the boundary runs from x to y (each alpha circle picks up
 y minus x) and the beta part runs back (x minus y).
 
+The right-hand side is additive (Ozsvath-Szabo, math/0101206, 2.4): with
+u a v = s the Smith factorization, u rhs(x, y) = S(y) - S(x), where S(z)
+sums the per-crossing images over the points of z.  So each generator z has
+a potential, computed once: its class key, S(z) reduced modulo the Smith
+diagonal (exact where the diagonal is 0), and its quotient q(z), S(z) floor
+divided by the diagonal.  x and y are connected exactly when their keys
+agree, and then v q(y) - v q(x) solves the pair's system.
+
 An admissible diagram has an area form (Stiemke's lemma): positive integer
 region weights w under which periodic domains have area zero.  All domains
 from x to y then share the area A = w.D, so a nonnegative one has
@@ -131,18 +139,21 @@ class Domain:
 
 class DefectSystem:
     """One diagram's defect matrix and what derives from it: the Smith
-    factorization, the per-crossing images of right-hand sides, the echelon
-    periodic basis, the admissibility verdict and the area form, each built
-    at most once, on first use.  euler and quads give four times the Maslov
-    index in integers: 4 e(r) minus its crossing corners per interior
-    region r, and per crossing the columns of its interior quadrants
-    (combined per pair by ``spinc.index_weights``).  The diagram holds this
-    object as ``Diagram.defects``; rows and labels are described at
-    ``defect_system``.  Everything here is shared and must not be modified.
+    factorization, the per-crossing images of right-hand sides, each
+    generator's potential, the echelon periodic basis, the admissibility
+    verdict and the area form, each built at most once, on first use.  euler
+    and quads give four times the Maslov index in integers: 4 e(r) minus its
+    crossing corners per interior region r, and per crossing the columns of
+    its interior quadrants (combined per pair by ``spinc.index_weights``).
+    The diagram holds this object as ``Diagram.defects``; rows and labels
+    are described at ``defect_system``.  Everything here is shared and must
+    not be modified.
     """
 
     def __init__(self, d: Diagram):
         self.diagram = d
+        # generator -> [class key, quotient q, v q or None until needed]
+        self._potentials: dict[tuple[int, ...], list] = {}
         order = d.interior_regions
         col = {r: i for i, r in enumerate(order)}
         self.euler = [4 * d.regions[r].euler() - d.crossing_corner_count[r]
@@ -185,6 +196,40 @@ class DefectSystem:
         return {v: [row[2 * i] - row[2 * i + 1] for row in u]
                 for i, v in enumerate(self.diagram.crossings)}
 
+    def _potential(self, g: Generator) -> list:
+        g = tuple(g)
+        pot = self._potentials.get(g)
+        if pot is None:
+            _check_generator(self.diagram, g)
+            if not self.diagram.interior_regions:
+                # no regions to solve for: x and y connect when they agree
+                pot = [frozenset(g), [], []]
+            else:
+                images, (_, s, v) = self.images, self.smith
+                total = [0] * len(s)
+                for p in set(g):
+                    total = [a + b for a, b in zip(total, images[p])]
+                n = len(v)
+                diag = [s[i][i] if i < n else 0 for i in range(len(s))]
+                key = tuple(t % e if e else t
+                            for t, e in zip(total, diag) if e != 1)
+                quot = [t // e if e else 0 for t, e in zip(total[:n], diag)]
+                pot = [key, quot + [0] * (n - len(quot)), None]
+            self._potentials[g] = pot
+        return pot
+
+    def key(self, g: Generator) -> tuple:
+        """Generator g's class key: equal keys, and only those, connect."""
+        return self._potential(g)[0]
+
+    def particular(self, g: Generator) -> list[int]:
+        """v q(g), built on first use; for generators x and y with equal
+        keys, particular(y) - particular(x) is a domain from x to y."""
+        pot = self._potential(g)
+        if pot[2] is None:
+            pot[2] = intlinalg.mat_vec(self.smith[2], pot[1])
+        return pot[2]
+
     @cached_property
     def periodic(self) -> tuple[Domain, ...]:
         """Lattice basis of the periodic domains, in column-echelon form."""
@@ -192,6 +237,12 @@ class DefectSystem:
             return ()
         return tuple(Domain(self.diagram, vec)
                      for vec in intlinalg.kernel_basis(self.smith))
+
+    @cached_property
+    def leads(self) -> tuple[int, ...]:
+        """Each periodic basis vector's leading (first nonzero) row."""
+        return tuple(next(i for i, c in enumerate(b.coeffs) if c)
+                     for b in self.periodic)
 
     @cached_property
     def _program(self) -> ratlp.LPResult | None:
@@ -275,26 +326,18 @@ def h2_rank(d: Diagram) -> int:
 def connecting_domain(d: Diagram, x: Generator, y: Generator) -> Domain | None:
     """A canonical domain from x to y, or None when the pair is disconnected.
 
-    The solution set is a coset of the periodic lattice; the returned
+    The pair is connected exactly when the two generators' class keys agree,
+    and then the difference of their particular solutions is one domain
+    from x to y (see ``DefectSystem.key`` and ``.particular``).  The
+    solution set is a coset of the periodic lattice; the returned
     representative is normalized against the echelon basis, so equal cosets
     always yield the same domain.
     """
-    _check_generator(d, x)
-    _check_generator(d, y)
-    xs, ys = set(x), set(y)
-    if not d.interior_regions:
-        return Domain(d, ()) if xs == ys else None
-    images = d.defects.images
-    ub = [0] * len(d.defects.smith[0])
-    for v in ys - xs:
-        ub = [a + b for a, b in zip(ub, images[v])]
-    for v in xs - ys:
-        ub = [a - b for a, b in zip(ub, images[v])]
-    sol = intlinalg.solve(d.defects.smith, ub)
-    if sol is None:
+    ds = d.defects
+    if ds.key(x) != ds.key(y):
         return None
-    for b in d.defects.periodic:
-        lead = next(i for i, c in enumerate(b.coeffs) if c)
+    sol = [b - a for a, b in zip(ds.particular(x), ds.particular(y))]
+    for b, lead in zip(ds.periodic, ds.leads):
         q = sol[lead] // b.coeffs[lead]
         if q:
             sol = [s - q * c for s, c in zip(sol, b.coeffs)]
@@ -340,10 +383,9 @@ def positive_connecting_domains(d: Diagram, x: Generator,
     # D = base + sum t_j * basis_j >= 0.  Basis vector j starts at row
     # leads[j], so rows cuts[j] up to cuts[j + 1] are final once t_0..t_j-1
     # are chosen, and row leads[j] bounds t_j by 0 <= D_lead <= A // w_lead.
-    basis, w = d.defects.periodic, d.defects.area
+    basis, leads, w = d.defects.periodic, d.defects.leads, d.defects.area
     area = sum(a * c for a, c in zip(w, base.coeffs))
-    leads = [next(i for i, c in enumerate(b.coeffs) if c) for b in basis]
-    cuts = [0] + leads + [len(w)]
+    cuts = [0, *leads, len(w)]
     out = []
 
     def walk(j: int, cur: list[int]) -> None:

@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: Smith form, kernels, linear solves.
+"""Exact integer matrix routines: Smith form and kernels.
 
 Matrices are lists of lists of Python ints, so every computation here is
 exact at arbitrary precision.  The sizes that show up in practice are tiny
@@ -169,20 +169,3 @@ def hermite_columns(bmat: list[list[int]]) -> list[list[int]]:
         row += 1
     return done
 
-
-def solve(snf, ub: list[int]) -> list[int] | None:
-    """One integer solution x of a x = b, or None when there is none, from
-    snf = (u, s, v) = smith_normal_form(a) of a matrix a with at least one
-    row and the image ub = u b of the right-hand side."""
-    _, s, v = snf
-    m, n = len(s), len(v)
-    y = [0] * n
-    for i in range(m):
-        d = s[i][i] if i < min(m, n) else 0
-        if d:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i] != 0:
-            return None
-    return mat_vec(v, y)

@@ -2,8 +2,10 @@
 
 Everything here recomputes from the raw cell data (edges, region cycles,
 quadrants) with its own bookkeeping, deliberately avoiding the library's
-matrix assembly, lattice solving, and counting code.  The one exception is
-the pairing invariant at the end, which reuses
+matrix assembly, lattice solving, and counting code.  Two exceptions: the
+per-pair connecting domain reuses the diagram's defect system and solves
+its Smith form afresh for every pair, the path the library's per-generator
+potentials replaced; and the pairing invariant at the end reuses
 ``intlinalg.smith_normal_form`` on a matrix of its own.
 """
 from __future__ import annotations
@@ -12,6 +14,7 @@ import itertools
 
 from sfh import intlinalg
 from sfh.diagram import ALPHA, BD, BETA, Diagram, Generator
+from sfh.domains import Domain
 
 
 def brute_force_generators(d: Diagram) -> list[Generator]:
@@ -75,6 +78,57 @@ def connects(d: Diagram, coeffs: dict[int, int], x: Generator,
             if jump != want:
                 return False
     return True
+
+
+# -- connecting domains by a per-pair Smith solve ------------------------------
+
+
+def solve(snf, ub: list[int]) -> list[int] | None:
+    """One integer solution x of a x = b, or None when there is none, from
+    snf = (u, s, v) = smith_normal_form(a) of a matrix a with at least one
+    row and the image ub = u b of the right-hand side."""
+    _, s, v = snf
+    m, n = len(s), len(v)
+    y = [0] * n
+    for i in range(m):
+        d = s[i][i] if i < min(m, n) else 0
+        if d:
+            if ub[i] % d != 0:
+                return None
+            y[i] = ub[i] // d
+        elif ub[i] != 0:
+            return None
+    return intlinalg.mat_vec(v, y)
+
+
+def per_pair_connecting_domain(d: Diagram, x: Generator,
+                               y: Generator) -> Domain | None:
+    """``connecting_domain`` by one Smith solve for the pair: the image of
+    its right-hand side sums the crossing images over y minus x and
+    subtracts those over x minus y, and the solution is normalized against
+    the echelon periodic basis."""
+    crossings = set(d.crossings)
+    for g in (x, y):
+        if not set(g) <= crossings:
+            raise ValueError(f"generator {g} uses non-crossing vertices")
+    xs, ys = set(x), set(y)
+    if not d.interior_regions:
+        return Domain(d, ()) if xs == ys else None
+    images = d.defects.images
+    ub = [0] * len(d.defects.smith[0])
+    for v in ys - xs:
+        ub = [a + b for a, b in zip(ub, images[v])]
+    for v in xs - ys:
+        ub = [a - b for a, b in zip(ub, images[v])]
+    sol = solve(d.defects.smith, ub)
+    if sol is None:
+        return None
+    for b in d.defects.periodic:
+        lead = next(i for i, c in enumerate(b.coeffs) if c)
+        q = sol[lead] // b.coeffs[lead]
+        if q:
+            sol = [s - q * c for s, c in zip(sol, b.coeffs)]
+    return Domain(d, sol)
 
 
 def brute_force_positive_domains(d: Diagram, x: Generator, y: Generator,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sfh import shd
+from sfh import cli, shd
 from sfh.builders import BUILDERS, build_example
 from sfh.cli import main
 from sfh.diagram import ALPHA, BD, Diagram, Edge, MARKER, Region, Vertex
@@ -77,6 +77,27 @@ def test_validate_parse_error_exit_1(capsys, monkeypatch):
     assert code == 1
     assert err.startswith("sfh: error:")
     assert "version" in err
+
+
+def test_undecodable_input_exit_1(capsys, monkeypatch, tmp_path):
+    # a valid diagram whose name holds a byte that is not UTF-8
+    raw = (DIAGRAMS / "s1s2.shd").read_bytes().replace(b"name: s1s2",
+                                                        b"name: s1\xffs2")
+    at = raw.index(b"\xff")
+    f = tmp_path / "latin.shd"
+    f.write_bytes(raw)
+    code, out, err = run_fail(capsys, "compute", str(f))
+    assert (code, out) == (1, "")
+    assert err == (f"sfh: error: cannot decode {f} as UTF-8: "
+                   f"invalid start byte at byte {at}\n")
+    # stdin raises or passes the byte on as a surrogate, by locale
+    for errors in ("strict", "surrogateescape"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(raw), encoding="utf-8", errors=errors))
+        code, out, err = run_fail(capsys, "compute", "-")
+        assert (code, out) == (1, ""), errors
+        assert err == ("sfh: error: cannot decode - as UTF-8: "
+                       f"invalid start byte at byte {at}\n"), errors
 
 
 def test_validate_missing_file_exit_10(capsys):
@@ -178,3 +199,37 @@ def test_unknown_subcommand_exit_11(capsys):
     code, _, err = run_fail(capsys, "frobnicate")
     assert code == 11
     assert "invalid choice" in err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    argvs = [("frobnicate",), ("compute", str(DIAGRAMS / "s1s2.shd"), "--spinc"),
+             ("example", "torus_lens", "x"), ("example", "torus_lens", "3"),
+             ("validate", str(DIAGRAMS / "s1s2.shd"))]
+    monkeypatch.setattr(cli, "build_parser", counting)
+    try:
+        separate = []
+        for argv in argvs:
+            cli._parser.cache_clear()  # as if each call were its own process
+            separate.append(outcome(argv))
+        cli._parser.cache_clear()
+        builds.clear()
+        shared = [outcome(argv) for argv in argvs]
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert shared == separate
+    assert [code for code, _, _ in shared] == [11, 0, 11, 0, 0]

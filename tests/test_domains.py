@@ -1,10 +1,12 @@
 """Domains: defect system, periodic lattice, connecting domains, admissibility."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
+from sfh import intlinalg
 from sfh.builders import BUILDERS, build_example
 from sfh.diagram import ALPHA, BETA, enumerate_generators
 from sfh.domains import (
@@ -23,7 +25,8 @@ from sfh.domains import (
 from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
 from sfh.spinc import maslov_index
 
-from oracles import brute_force_positive_domains, connects
+from oracles import (brute_force_positive_domains, connects,
+                     per_pair_connecting_domain)
 
 
 # -- Domain value type --------------------------------------------------------
@@ -173,6 +176,21 @@ def test_connecting_domain_none_across_classes():
             assert (dom is None) == (i != j)
             if i == j:
                 assert dom.is_zero()
+
+
+def test_potentials_reduce_modulo_the_smith_diagonal():
+    # no buildable diagram has a class whose points differ where the Smith
+    # diagonal exceeds 1, so plant one on s1s2's two crossings: under the
+    # diagonal 2 the images -1 and 3 share a key, and their floor quotients
+    # -1 and 1 differ by exactly (3 - -1) / 2
+    d = build_example("s1s2", [])
+    d.defects.smith = (intlinalg.identity(4), [[2, 0], [0, 0], [0, 0], [0, 0]],
+                       intlinalg.identity(2))
+    d.defects.images = {1: [-1, 0, 0, 0], 2: [3, 0, 0, 0]}
+    for x, y in itertools.product([(1,), (2,), (1, 2)], repeat=2):
+        assert connecting_domain(d, x, y) == per_pair_connecting_domain(d, x, y)
+    assert connecting_domain(d, (1,), (2,)).coeffs == (2, 0)
+    assert connecting_domain(d, (1,), (1, 2)) is None  # 3 is odd
 
 
 def test_connecting_domain_rejects_bad_generators():

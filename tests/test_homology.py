@@ -21,7 +21,8 @@ from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
 from sfh.spinc import (grading_modulus, index_weights, maslov_index,
                        relative_gradings, spinc_partition)
 
-from oracles import brute_force_boundary_matrix, oracle_rigid
+from oracles import (brute_force_boundary_matrix, oracle_rigid,
+                     per_pair_connecting_domain)
 
 NICE_CORPUS = [
     ("product", [1, 1]),
@@ -98,6 +99,40 @@ def test_niceness_flags_genus_and_extra_cycles():
           for r in d.regions.values()]
     bumped = Diagram(list(d.vertices.values()), list(d.edges.values()), rs)
     assert "interior region 1 has genus 1" in niceness_report(bumped)
+
+
+# -- connecting domains ---------------------------------------------------------
+
+
+def test_connecting_domain_matches_per_pair_solve():
+    # the per-generator potentials give the per-pair Smith solve's domain,
+    # and its None, on every ordered pair
+    diagrams = list(_nice_variants()) + [
+        disjoint_union(build_example("spheres", [3]),
+                       build_example("lens_knot", [4])),
+        disjoint_union(build_example("torus_lens", [3]),
+                       build_example("s1s2"))]
+    pairs = connected = 0
+    for d in diagrams:
+        gens = enumerate_generators(d)
+        for x, y in itertools.product(gens, repeat=2):
+            want = per_pair_connecting_domain(d, x, y)
+            assert connecting_domain(d, x, y) == want, (d.name, x, y)
+            pairs += 1
+            connected += want is not None
+        # lists, permuted order and repeated points name the same generators
+        for x, y in itertools.product(gens[:3], gens[-3:]):
+            want = per_pair_connecting_domain(d, x, y)
+            assert connecting_domain(d, list(reversed(x)), y) == want
+            assert connecting_domain(d, x, [*y, *y[:1]]) == want
+        # a vertex that is no crossing is rejected, also beside a generator
+        # whose potential is already known, and on every call
+        for bad in (*d.markers[:1], max(d.vertices) + 1):
+            for x in gens[:2]:
+                for args in ((x, (bad,)), ((bad,), x), ((*x[1:], bad), x)):
+                    with pytest.raises(ValueError, match="non-crossing"):
+                        connecting_domain(d, *args)
+    assert connected < pairs
 
 
 # -- rigid counting -------------------------------------------------------------
@@ -303,11 +338,16 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
         assert (len(smith), len(lps)) == (1, programs)
         sfh(d)  # the same diagram object keeps its factorization
         assert (len(smith), len(lps)) == (1, programs)
-    # the lens classes are singletons: every partition solve fails on the
-    # cached per-crossing images, before any matrix-vector product
-    products.clear()
-    sfh(lens)
-    assert len(products) == 0
+    # at most one particular solution per generator, counted on fresh
+    # diagrams; the lens classes are singletons, so no key ever matches
+    # another and no generator needs one
+    for d, most in ((build_example("spheres", [4]), 8),
+                    (disjoint_union(build_example("spheres", [4]),
+                                    build_example("torus_lens", [5])), 40),
+                    (build_example("torus_lens", [5]), 0)):
+        products.clear()
+        sfh(d)
+        assert len(products) <= most, d.name
 
 
 def test_cli_compute_factors_the_defect_matrix_once(monkeypatch, capsys):
