@@ -24,6 +24,9 @@ An admissible diagram has an area form (Stiemke's lemma): positive integer
 region weights w under which periodic domains have area zero.  All domains
 from x to y then share the area A = w.D, so a nonnegative one has
 D_r <= A // w_r, which bounds an integer walk over the periodic basis.
+The walk's answer depends only on the coset, which the canonical connecting
+domain names, so each coset is walked once per diagram and its nonnegative
+domains are kept for every later pair that shares it.
 """
 from __future__ import annotations
 
@@ -141,10 +144,11 @@ class DefectSystem:
     """One diagram's defect matrix and what derives from it: the Smith
     factorization, the per-crossing images of right-hand sides, each
     generator's potential, the echelon periodic basis, the admissibility
-    verdict and the area form, each built at most once, on first use.  euler
-    and quads give four times the Maslov index in integers: 4 e(r) minus its
-    crossing corners per interior region r, and per crossing the columns of
-    its interior quadrants (combined per pair by ``spinc.index_weights``).
+    verdict, the area form and each coset's nonnegative domains, each built
+    at most once, on first use.  euler and quads give four times the Maslov
+    index in integers: 4 e(r) minus its crossing corners per interior region
+    r, and per crossing the columns of its interior quadrants (combined per
+    pair by ``spinc.index_weights``).
     The diagram holds this object as ``Diagram.defects``; rows and labels
     are described at ``defect_system``.  Everything here is shared and must
     not be modified.
@@ -154,6 +158,8 @@ class DefectSystem:
         self.diagram = d
         # generator -> [class key, quotient q, v q or None until needed]
         self._potentials: dict[tuple[int, ...], list] = {}
+        # canonical base coefficients -> the coset's nonnegative domains
+        self._cosets: dict[tuple[int, ...], tuple[Domain, ...]] = {}
         order = d.interior_regions
         col = {r: i for i, r in enumerate(order)}
         self.euler = [4 * d.regions[r].euler() - d.crossing_corner_count[r]
@@ -285,6 +291,39 @@ class DefectSystem:
         scale = math.lcm(*(v.denominator for v in w))
         return tuple(int(v * scale) for v in w)
 
+    def nonnegative(self, base: Domain) -> tuple[Domain, ...]:
+        """The nonnegative domains of base's coset, ordered by coefficients;
+        base must be canonical, as ``connecting_domain`` returns it, and the
+        diagram admissible."""
+        found = self._cosets.get(base.coeffs)
+        if found is None:
+            found = self._cosets[base.coeffs] = self._walk(base.coeffs)
+        return found
+
+    def _walk(self, base: tuple[int, ...]) -> tuple[Domain, ...]:
+        # D = base + sum t_j * basis_j >= 0.  Basis vector j starts at row
+        # leads[j], so rows cuts[j] up to cuts[j + 1] are final once t_0..t_j-1
+        # are chosen, and row leads[j] bounds t_j by 0 <= D_lead <= A // w_lead.
+        basis, leads, w = self.periodic, self.leads, self.area
+        area = sum(a * c for a, c in zip(w, base))
+        cuts = [0, *leads, len(w)]
+        out = []
+
+        def walk(j: int, cur: list[int]) -> None:
+            if any(c < 0 for c in cur[cuts[j]:cuts[j + 1]]):
+                return
+            if j == len(basis):
+                out.append(Domain(self.diagram, cur))
+                return
+            vec, lead = basis[j].coeffs, leads[j]
+            p = vec[lead]  # positive in the echelon form
+            for t in range(-(cur[lead] // p), (area // w[lead] - cur[lead]) // p + 1):
+                walk(j + 1, [a + t * b for a, b in zip(cur, vec)])
+
+        walk(0, list(base))
+        out.sort(key=lambda dom: dom.coeffs)
+        return tuple(out)
+
 
 def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:
     """Matrix of the boundary-termination conditions at the crossings.
@@ -375,30 +414,14 @@ def positive_connecting_domains(d: Diagram, x: Generator,
                                 y: Generator) -> list[Domain]:
     """All nonnegative domains from x to y, ordered by coefficients.
     Requires an admissible diagram, which is exactly the condition that
-    makes this set finite."""
+    makes this set finite.
+
+    Pairs with the same canonical connecting domain share one coset of the
+    periodic lattice, and so one answer: each coset is walked once per
+    diagram (``DefectSystem.nonnegative``).  The list is new on every call,
+    but its Domains are shared and must not be modified."""
     require_admissible(d)
     base = connecting_domain(d, x, y)
     if base is None:
         return []
-    # D = base + sum t_j * basis_j >= 0.  Basis vector j starts at row
-    # leads[j], so rows cuts[j] up to cuts[j + 1] are final once t_0..t_j-1
-    # are chosen, and row leads[j] bounds t_j by 0 <= D_lead <= A // w_lead.
-    basis, leads, w = d.defects.periodic, d.defects.leads, d.defects.area
-    area = sum(a * c for a, c in zip(w, base.coeffs))
-    cuts = [0, *leads, len(w)]
-    out = []
-
-    def walk(j: int, cur: list[int]) -> None:
-        if any(c < 0 for c in cur[cuts[j]:cuts[j + 1]]):
-            return
-        if j == len(basis):
-            out.append(Domain(d, cur))
-            return
-        vec, lead = basis[j].coeffs, leads[j]
-        p = vec[lead]  # positive in the echelon form
-        for t in range(-(cur[lead] // p), (area // w[lead] - cur[lead]) // p + 1):
-            walk(j + 1, [a + t * b for a, b in zip(cur, vec)])
-
-    walk(0, list(base.coeffs))
-    out.sort(key=lambda dom: dom.coeffs)
-    return out
+    return list(d.defects.nonnegative(base))

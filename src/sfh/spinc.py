@@ -6,6 +6,10 @@ from the Maslov index, and the grading is exact modulo the gcd of Maslov
 indices of periodic domains.  The index is summed in integer quarters:
 ``index_weights(d, x, y)`` gives region weights w with w.D = 4 mu(D) for
 every domain D from x to y, so one pair's weights serve all its domains.
+Gradings and the modulus sum those weights directly, over domains that
+connect their pair by construction (``connecting_domain`` and the periodic
+basis); ``maslov_index`` is the checked public path, which first verifies
+that its domain connects x to y.
 
 The class partition has an independent homological description: connect y
 to x by arcs along the alpha circles and back along the beta circles; the
@@ -67,15 +71,25 @@ def maslov_index(d: Diagram, dom: Domain, x: Generator,
     for row, want in zip(d.defects.rows, rhs):
         if sum(a * c for a, c in zip(row, dom.coeffs)) != want:
             return None
-    total = sum(w * c for w, c in zip(index_weights(d, x, y), dom.coeffs))
-    assert total % 4 == 0, f"fractional index {total}/4 for a connecting domain"
+    return _index(index_weights(d, x, y), dom)
+
+
+def _index(w: list[int], dom: Domain) -> int:
+    """mu(dom) from its pair's ``index_weights`` w, unchecked: dom must
+    connect that pair."""
+    total = sum(a * c for a, c in zip(w, dom.coeffs))
+    if total % 4:
+        raise RuntimeError(f"fractional index {total}/4 for a connecting domain")
     return total // 4
 
 
 def grading_modulus(d: Diagram, member: Generator) -> int:
     """Gcd of Maslov indices over the periodic lattice; 0 means exact gradings."""
-    vals = [maslov_index(d, p, member, member) for p in d.defects.periodic]
-    return math.gcd(*vals) if vals else 0
+    periodic = d.defects.periodic
+    if not periodic:
+        return 0
+    w = index_weights(d, member, member)
+    return math.gcd(*(_index(w, p) for p in periodic))
 
 
 def relative_gradings(d: Diagram, members: tuple[Generator, ...],
@@ -94,6 +108,6 @@ def relative_gradings(d: Diagram, members: tuple[Generator, ...],
         dom = connecting_domain(d, g, least)
         if dom is None:
             raise ValueError(f"{g} and {least} are not in the same class")
-        val = maslov_index(d, dom, g, least)
+        val = _index(index_weights(d, g, least), dom)
         out[g] = val % modulus if modulus else val
     return out

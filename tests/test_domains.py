@@ -23,10 +23,12 @@ from sfh.domains import (
     require_admissible,
 )
 from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
+from sfh.shd import parse, serialize
 from sfh.spinc import maslov_index
 
 from oracles import (brute_force_positive_domains, connects,
                      per_pair_connecting_domain)
+from test_homology import _nice_variants
 
 
 # -- Domain value type --------------------------------------------------------
@@ -329,8 +331,45 @@ def test_positive_domains_under_a_nonuniform_area():
 
 def test_positive_domains_require_admissible():
     d = build_example("s1s2_disjoint", [])
-    with pytest.raises(NotAdmissibleError):
-        positive_connecting_domains(d, (), ())
+    for _ in range(3):  # the verdict is cached, the check is made every call
+        with pytest.raises(NotAdmissibleError):
+            positive_connecting_domains(d, (), ())
+
+
+def test_positive_domains_memo_is_exact_and_isolated():
+    # each coset is walked once per diagram; after every pair has been
+    # searched, each answer equals a fresh copy's first search, and brute
+    # force within the cap, and no caller can change it through the list
+    diagrams = list(_nice_variants()) + [
+        disjoint_union(build_example("spheres", [3]),
+                       build_example("lens_knot", [4])),
+        disjoint_union(build_example("torus_lens", [3]),
+                       build_example("s1s2"))]
+    pairs = connected = cosets = 0
+    for d in diagrams:
+        gens = enumerate_generators(d)
+        text = serialize(d)
+        first = {(x, y): positive_connecting_domains(d, x, y)
+                 for x, y in itertools.product(gens, repeat=2)}
+        for (x, y), doms in first.items():
+            got = positive_connecting_domains(d, x, y)
+            assert got == doms and got is not doms
+            fresh = positive_connecting_domains(parse(text), x, y)
+            want = [dom.coeffs for dom in fresh]
+            assert [dom.coeffs for dom in got] == want, (d.name, x, y)
+            if len(d.interior_regions) <= 4:
+                capped = [c for c in want if max(c, default=0) <= 4]
+                assert capped == brute_force_positive_domains(d, x, y, cap=4)
+            got.clear()
+            doms.append(Domain.zero(d))
+            again = positive_connecting_domains(d, x, y)
+            assert [dom.coeffs for dom in again] == want, (d.name, x, y)
+            pairs += 1
+        bases = [connecting_domain(d, x, y) for x, y in first]
+        connected += sum(base is not None for base in bases)
+        cosets += len({base.coeffs for base in bases if base is not None})
+    # pairs do share cosets, so later pairs read what earlier ones walked
+    assert pairs == 564 and cosets < connected
 
 
 def test_positive_domains_on_grid_fixture(grid2):

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from sfh import cli, intlinalg, ratlp
+from sfh import cli, homology, intlinalg, ratlp, spinc
 from sfh.builders import build_example
 from sfh.diagram import (ALPHA, BD, BETA, CROSSING, Diagram, Edge,
                          InvalidDiagramError, MARKER, NotBalancedError, Region,
                          Vertex, enumerate_generators)
-from sfh.domains import (Domain, NotAdmissibleError, connecting_domain,
-                         positive_connecting_domains)
+from sfh.domains import (DefectSystem, Domain, NotAdmissibleError,
+                         connecting_domain, positive_connecting_domains)
 from sfh.homology import (ClassHomology, NotNiceError, SFHResult,
                           boundary_matrix, class_homology, is_nice,
                           niceness_report, require_nice, sfh,
@@ -348,6 +348,30 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
         products.clear()
         sfh(d)
         assert len(products) <= most, d.name
+
+
+def test_sfh_walks_each_coset_once(monkeypatch):
+    # the searches of boundary_matrix share cosets, one walk each, and the
+    # gradings never need maslov_index's connects check
+    walks = _count_calls(monkeypatch, DefectSystem, "_walk")
+    searches = _count_calls(monkeypatch, homology,
+                            "positive_connecting_domains")
+    checked = _count_calls(monkeypatch, spinc, "maslov_index")
+    monkeypatch.setattr(homology, "maslov_index", spinc.maslov_index)
+    for d, walked, searched in (
+            (build_example("spheres", [4]), 26, 56),
+            (build_example("spheres", [5]), 80, 240),
+            (disjoint_union(build_example("spheres", [4]),
+                            build_example("torus_lens", [5])), 26, 280)):
+        walks.clear()
+        searches.clear()
+        sfh(d)
+        bases = {connecting_domain(d, x, y)
+                 for x, y in itertools.permutations(enumerate_generators(d), 2)}
+        bases.discard(None)
+        assert len(walks) == len(bases) == walked, d.name
+        assert len(searches) == searched, d.name
+        assert not checked, d.name
 
 
 def test_cli_compute_factors_the_defect_matrix_once(monkeypatch, capsys):

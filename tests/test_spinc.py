@@ -2,9 +2,15 @@
 from __future__ import annotations
 
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sfh
 from sfh.builders import build_example
 from sfh.diagram import enumerate_generators
 from sfh.domains import Domain, connecting_domain, periodic_basis
@@ -155,6 +161,74 @@ def test_grading_difference_is_maslov():
         for x, y in itertools.permutations(c.members, 2):
             dom = connecting_domain(d, x, y)
             assert grades[x] - grades[y] == maslov_index(d, dom, x, y)
+
+
+def test_nonzero_modulus_reduces_gradings():
+    # no buildable class has a nonzero modulus, so raise the Euler weight of
+    # one region that a periodic domain covers by a multiple of 4: indices
+    # stay integers, that periodic domain gets a nonzero index, and the
+    # gradings reduce modulo the gcd
+    for name, params, bump, modulus, gradings in [
+            ("s1s2", [], 8, 2, {(1,): 0, (2,): 1}),
+            ("spheres", [3], 12, 3,
+             {(1, 3): 0, (1, 4): 1, (2, 3): 1, (2, 4): 2})]:
+        d = build_example(name, params)
+        basis = periodic_basis(d)
+        assert basis[0].coeffs[1]
+        d.defects.euler[1] += bump
+        (c,) = spinc_partition(d)
+        least = min(c.members)
+        for m in c.members:
+            assert grading_modulus(d, m) == math.gcd(
+                *(maslov_index(d, p, m, m) for p in basis)) == modulus
+        got = relative_gradings(d, c.members, modulus)
+        raw = {g: maslov_index(d, connecting_domain(d, g, least), g, least)
+               for g in c.members}
+        assert got == {g: v % modulus for g, v in raw.items()} == gradings
+        assert raw != got, name  # the reduction is exercised
+
+
+_ODD_WEIGHT = """
+from sfh.builders import build_example
+from sfh.diagram import enumerate_generators
+from sfh.domains import Domain
+from sfh.homology import sfh
+from sfh.spinc import grading_modulus, maslov_index, relative_gradings
+
+
+def planted():
+    d = build_example("s1s2")
+    d.defects.euler[1] += 1  # an odd weight on r2, the second bigon
+    return d
+
+
+x, y = enumerate_generators(planted())
+print("debug", __debug__)
+for check in (lambda d: maslov_index(d, Domain.from_dict(d, {2: 1}), y, x),
+              lambda d: grading_modulus(d, x),
+              lambda d: relative_gradings(d, (x, y), 0),
+              sfh):
+    try:
+        print("returned", check(planted()))
+    except RuntimeError as e:
+        print("raised", e)
+"""
+
+
+def test_fractional_index_raises_also_under_optimize(capsys):
+    # a broken weight must not give a wrong grading, and python -O strips
+    # asserts, so the quarter-index check raises
+    exec(_ODD_WEIGHT, {})
+    inline = capsys.readouterr().out.splitlines()
+    env = dict(os.environ, PYTHONPATH=str(Path(sfh.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _ODD_WEIGHT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    optimized = proc.stdout.splitlines()
+    assert optimized[0] == "debug False" and len(optimized) == 5
+    assert inline[1:] == optimized[1:]
+    for line in optimized[1:]:
+        assert line.startswith("raised fractional index "), line
 
 
 # -- pairing invariant ---------------------------------------------------------
