@@ -269,10 +269,7 @@ class Diagram:
             return errs
 
         # local surface structure: corners at each vertex
-        corners = self._corners()
-        by_vertex: dict[int, list[Corner]] = {v: [] for v in self.vertices}
-        for c in corners:
-            by_vertex[c.vertex].append(c)
+        by_vertex = self.corners_by_vertex
         for v in self.vertices.values():
             cs = by_vertex[v.id]
             ends = {(x[3], x[2]) for x in ends_at[v.id]}
@@ -409,17 +406,12 @@ class Diagram:
     @cached_property
     def crossing_curves(self) -> dict[int, tuple[int, int]]:
         """crossing id -> (alpha index, beta index) meeting there."""
-        out = {}
-        for v in self.crossings:
-            al = be = None
-            for e in self.edges.values():
-                if v in (e.tail, e.head):
-                    if e.curve == ALPHA:
-                        al = e.index
-                    elif e.curve == BETA:
-                        be = e.index
-            out[v] = (al, be)
-        return out
+        seen: dict[int, dict[str, int]] = {v: {} for v in self.crossings}
+        for e in self.edges.values():
+            for v in (e.tail, e.head):
+                if v in seen:
+                    seen[v][e.curve] = e.index
+        return {v: (c.get(ALPHA), c.get(BETA)) for v, c in seen.items()}
 
     @cached_property
     def interior_regions(self) -> list[int]:

@@ -166,24 +166,23 @@ class DefectSystem:
                       for r in order]
         self.quads = {v: [col[c.region] for c in d.quadrants[v] if c.region in col]
                       for v in d.crossings}
-        self.rows: list[list[int]] = []
-        self.labels: list[tuple[int, str]] = []
-        for v in d.crossings:
-            for curve in (ALPHA, BETA):
-                row = [0] * len(order)
-                for e in d.edges.values():
-                    if e.curve != curve:
-                        continue
-                    sign = (1 if e.head == v else 0) - (1 if e.tail == v else 0)
-                    if sign == 0:
-                        continue
-                    pos, neg = d.edge_sides[e.id]
-                    if pos in col:
-                        row[col[pos]] += sign
-                    if neg in col:
-                        row[col[neg]] -= sign
-                self.rows.append(row)
-                self.labels.append((v, curve))
+        # one pass over the edges: an alpha or beta edge adds its flanking
+        # regions' columns to its head's row and subtracts them from its
+        # tail's (a loop's two ends cancel)
+        self.labels = [(v, curve) for v in d.crossings for curve in (ALPHA, BETA)]
+        at = {label: i for i, label in enumerate(self.labels)}
+        self.rows = [[0] * len(order) for _ in self.labels]
+        for e in d.edges.values():
+            pos, neg = d.edge_sides[e.id]
+            for v, sign in ((e.head, 1), (e.tail, -1)):
+                i = at.get((v, e.curve))
+                if i is None:
+                    continue
+                row = self.rows[i]
+                if pos in col:
+                    row[col[pos]] += sign
+                if neg in col:
+                    row[col[neg]] -= sign
 
     @cached_property
     def smith(self):

@@ -1,8 +1,10 @@
 """Exact integer matrix routines: Smith form and kernels.
 
 Matrices are lists of lists of Python ints, so every computation here is
-exact at arbitrary precision.  The sizes that show up in practice are tiny
-(tens of rows), so clarity wins over asymptotics throughout.
+exact at arbitrary precision.  The sizes that show up in practice are small
+(tens of rows, mostly zero), and the Smith form is set up once per diagram,
+so it skips what a unit pivot makes needless and keeps u sparse; the other
+routines are written for clarity.
 """
 from __future__ import annotations
 
@@ -35,80 +37,98 @@ def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[in
 
     Diagonal entries are nonnegative and each divides the next.  Pivoting is
     deterministic: smallest nonzero magnitude in the trailing block, ties by
-    position.  The pivot is chosen again after every elimination pass; one
-    kept for the whole diagonal position lets the remainder steps and folds
-    grow the trailing block's entries to thousands of digits.
+    position, so the scan stops at the first entry of magnitude 1 in
+    row-major order.  The pivot is chosen again after every elimination
+    pass; one kept for the whole diagonal position lets the remainder steps
+    and folds grow the trailing block's entries to thousands of digits.
+    A pivot of magnitude 1 divides everything, so its pass clears its row
+    and column and needs no divisibility check.  The rows of u are kept
+    sparse (column -> nonzero entry) while eliminating, since row operations
+    on a defect matrix touch few of them, and are made dense on return.
     """
     s = [row[:] for row in a]
     m = len(s)
     n = len(s[0]) if m else 0
-    u = identity(m)
+    u: list[dict[int, int]] = [{i: 1} for i in range(m)]
     v = identity(n)
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row dst += c * row src
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
+    # rows t.. of s are zero left of column t, and rows ..t-1 are finished
+    # (zero off the diagonal), so every pass below works on rows t.. only
     t = 0
     while True:
         pivot = None
-        best = None
         for i in range(t, m):
-            for j in range(t, n):
-                x = s[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+            row = s[i]
+            if 1 in row or -1 in row:
+                pivot = (i, min(row.index(x) for x in (1, -1) if x in row))
+                break
         if pivot is None:
-            break
+            best = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    x = s[i][j]
+                    if x and (best is None or abs(x) < best):
+                        best = abs(x)
+                        pivot = (i, j)
+            if pivot is None:
+                break
         pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        p = s[t][t]
+        s[t], s[pi] = s[pi], s[t]
+        u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in s[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            for row in v:
+                row[t], row[pj] = row[pj], row[t]
+        top = s[t]
+        p = top[t]
         # clear row and column t by remainder steps
         dirty = False
+        prow = [(j, x) for j, x in enumerate(top) if x]
         for i in range(t + 1, m):
-            if s[i][t]:
-                add_row(t, i, -(s[i][t] // p))
-                dirty = dirty or s[i][t] != 0
+            row = s[i]
+            if row[t]:
+                c = -(row[t] // p)
+                for j, x in prow:
+                    row[j] += c * x
+                _add_sparse(u[i], u[t], c)
+                dirty = dirty or row[t] != 0
+        rows = [row for row in s[t:] if row[t]] + [row for row in v if row[t]]
         for j in range(t + 1, n):
-            if s[t][j]:
-                add_col(t, j, -(s[t][j] // p))
-                dirty = dirty or s[t][j] != 0
+            if top[j]:
+                c = -(top[j] // p)
+                for row in rows:
+                    row[j] += c * row[t]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue
         # the pivot must divide everything in the trailing block, or the
         # divisibility chain d1 | d2 | ... fails; fold an offender in
-        bad = next((i for i in range(t + 1, m)
-                    if any(s[i][j] % p for j in range(t + 1, n))), None)
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
+        if abs(p) != 1:
+            bad = next((i for i in range(t + 1, m)
+                        if any(s[i][j] % p for j in range(t + 1, n))), None)
+            if bad is not None:
+                s[t] = [x + y for x, y in zip(top, s[bad])]
+                _add_sparse(u[t], u[bad], 1)
+                continue
         if p < 0:
-            negate_row(t)
+            s[t] = [-x for x in top]
+            u[t] = {k: -x for k, x in u[t].items()}
         t += 1
-    return u, s, v
+    dense = [[0] * m for _ in range(m)]
+    for out, row in zip(dense, u):
+        for k, x in row.items():
+            out[k] = x
+    return dense, s, v
+
+
+def _add_sparse(dst: dict[int, int], src: dict[int, int], c: int) -> None:
+    # dst += c * src, dropping entries that cancel
+    for k, x in src.items():
+        y = dst.get(k, 0) + c * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
 
 def kernel_basis(snf) -> list[list[int]]:

@@ -33,18 +33,28 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"\S+")
 
 
-def _int(tok: str, what: str, line: int, col: int, positive: bool = False) -> int:
+def _column(raw: str, k: int) -> int:
+    """1-based column of the k-th whitespace-separated token of raw."""
+    return [m.start() + 1 for m in _TOKEN.finditer(raw)][k]
+
+
+def _int(tok: str, what: str, line: int, raw: str, k: int,
+         positive: bool = False) -> int:
     try:
         val = int(tok)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {tok!r}", line, col) from None
+        raise ParseError(f"{what} must be an integer, got {tok!r}", line,
+                         _column(raw, k)) from None
     if positive and val <= 0:
-        raise ParseError(f"{what} must be positive, got {val}", line, col)
+        raise ParseError(f"{what} must be positive, got {val}", line, _column(raw, k))
     return val
 
 
 def parse(text: str) -> Diagram:
-    """Parse diagram text.  Raises ParseError with line and column."""
+    """Parse diagram text.  Raises ParseError with line and column.
+
+    Lines are split with ``str.split``; a token's column is only worked out
+    when an error points at it."""
     vertices: list[Vertex] = []
     edges: list[Edge] = []
     regions: list[Region] = []
@@ -52,78 +62,74 @@ def parse(text: str) -> Diagram:
     saw_header = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
+        toks = raw.split()
+        if not toks:
             continue
-        if stripped.startswith("#"):
-            m = re.match(r"#\s*name:\s*(.*\S)", stripped)
+        kind = toks[0]
+        if kind.startswith("#"):
+            m = re.match(r"#\s*name:\s*(.*\S)", raw.strip())
             if m and name is None:
                 name = m.group(1)
             continue
-        toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(raw)]
-        kind = toks[0][0]
         if not saw_header:
             if kind != "shd":
-                raise ParseError("expected header 'shd 1'", lineno, toks[0][1])
-            if len(toks) != 2 or toks[1][0] != str(FORMAT_VERSION):
+                raise ParseError("expected header 'shd 1'", lineno, _column(raw, 0))
+            if len(toks) != 2 or toks[1] != str(FORMAT_VERSION):
                 raise ParseError("unsupported format version", lineno,
-                                 toks[1][1] if len(toks) > 1 else toks[0][1])
+                                 _column(raw, 1 if len(toks) > 1 else 0))
             saw_header = True
             continue
         if kind == "vertex":
             if len(toks) != 3:
                 raise ParseError("vertex line needs: vertex <id> <kind>",
-                                 lineno, toks[0][1])
-            vid = _int(toks[1][0], "vertex id", lineno, toks[1][1], positive=True)
-            vkind = toks[2][0]
+                                 lineno, _column(raw, 0))
+            vid = _int(toks[1], "vertex id", lineno, raw, 1, positive=True)
+            vkind = toks[2]
             if vkind not in VERTEX_KINDS:
-                raise ParseError(f"unknown vertex kind {vkind!r}", lineno, toks[2][1])
+                raise ParseError(f"unknown vertex kind {vkind!r}", lineno,
+                                 _column(raw, 2))
             vertices.append(Vertex(vid, vkind))
         elif kind == "edge":
             if len(toks) != 6:
                 raise ParseError(
                     "edge line needs: edge <id> <curve> <index> <tail> <head>",
-                    lineno, toks[0][1])
-            eid = _int(toks[1][0], "edge id", lineno, toks[1][1], positive=True)
-            curve = toks[2][0]
+                    lineno, _column(raw, 0))
+            eid = _int(toks[1], "edge id", lineno, raw, 1, positive=True)
+            curve = toks[2]
             if curve not in CURVE_KINDS:
-                raise ParseError(f"unknown curve kind {curve!r}", lineno, toks[2][1])
-            index = _int(toks[3][0], "circle index", lineno, toks[3][1], positive=True)
-            tail = _int(toks[4][0], "tail vertex", lineno, toks[4][1], positive=True)
-            head = _int(toks[5][0], "head vertex", lineno, toks[5][1], positive=True)
+                raise ParseError(f"unknown curve kind {curve!r}", lineno,
+                                 _column(raw, 2))
+            index = _int(toks[3], "circle index", lineno, raw, 3, positive=True)
+            tail = _int(toks[4], "tail vertex", lineno, raw, 4, positive=True)
+            head = _int(toks[5], "head vertex", lineno, raw, 5, positive=True)
             edges.append(Edge(eid, curve, index, tail, head))
         elif kind == "region":
-            if len(toks) < 5 or toks[2][0] != "genus":
+            if len(toks) < 5 or toks[2] != "genus":
                 raise ParseError(
                     "region line needs: region <id> genus <g> cycle <refs>...",
-                    lineno, toks[0][1])
-            rid = _int(toks[1][0], "region id", lineno, toks[1][1], positive=True)
-            genus = _int(toks[3][0], "genus", lineno, toks[3][1])
+                    lineno, _column(raw, 0))
+            rid = _int(toks[1], "region id", lineno, raw, 1, positive=True)
+            genus = _int(toks[3], "genus", lineno, raw, 3)
             if genus < 0:
-                raise ParseError("genus must be nonnegative", lineno, toks[3][1])
+                raise ParseError("genus must be nonnegative", lineno, _column(raw, 3))
+            if toks[4] != "cycle":
+                raise ParseError("expected 'cycle'", lineno, _column(raw, 4))
             cycles: list[list[int]] = []
-            i = 4
-            if toks[4][0] != "cycle":
-                raise ParseError("expected 'cycle'", lineno, toks[4][1])
-            while i < len(toks):
-                tok, col = toks[i]
+            for k in range(4, len(toks)):
+                tok = toks[k]
                 if tok == "cycle":
                     cycles.append([])
-                    i += 1
                     continue
-                ref = _int(tok.lstrip("+") if tok.startswith("+") else tok,
-                           "edge reference", lineno, col)
+                ref = _int(tok.lstrip("+"), "edge reference", lineno, raw, k)
                 if ref == 0:
-                    raise ParseError("edge reference cannot be 0", lineno, col)
-                if not cycles:
-                    raise ParseError("edge reference before 'cycle'", lineno, col)
+                    raise ParseError("edge reference cannot be 0", lineno,
+                                     _column(raw, k))
                 cycles[-1].append(ref)
-                i += 1
             if any(not c for c in cycles):
-                raise ParseError("empty cycle", lineno, toks[0][1])
+                raise ParseError("empty cycle", lineno, _column(raw, 0))
             regions.append(Region(rid, genus, tuple(tuple(c) for c in cycles)))
         else:
-            raise ParseError(f"unknown record {kind!r}", lineno, toks[0][1])
+            raise ParseError(f"unknown record {kind!r}", lineno, _column(raw, 0))
 
     if not saw_header:
         raise ParseError("empty input, expected header 'shd 1'", 1)

@@ -6,7 +6,10 @@ matrix assembly, lattice solving, and counting code.  Two exceptions: the
 per-pair connecting domain reuses the diagram's defect system and solves
 its Smith form afresh for every pair, the path the library's per-generator
 potentials replaced; and the pairing invariant at the end reuses
-``intlinalg.smith_normal_form`` on a matrix of its own.
+``intlinalg.smith_normal_form`` on a matrix of its own.  Some entries are
+earlier forms of library code kept as references for the faster forms that
+replaced them: the dense, fully scanned Smith form and the per-crossing
+scans behind the defect rows and ``Diagram.crossing_curves``.
 """
 from __future__ import annotations
 
@@ -78,6 +81,146 @@ def connects(d: Diagram, coeffs: dict[int, int], x: Generator,
             if jump != want:
                 return False
     return True
+
+
+# -- the Smith form with dense rows and full scans ------------------------------
+
+
+def dense_smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """``intlinalg.smith_normal_form`` as first written: the pivot scan
+    always covers the whole trailing block, the divisibility scan runs for
+    every pivot, and u is dense throughout.  Returns the same (u, s, v).
+
+    Diagonal entries are nonnegative and each divides the next.  Pivoting is
+    deterministic: smallest nonzero magnitude in the trailing block, ties by
+    position.  The pivot is chosen again after every elimination pass; one
+    kept for the whole diagonal position lets the remainder steps and folds
+    grow the trailing block's entries to thousands of digits.
+    """
+    s = [row[:] for row in a]
+    m = len(s)
+    n = len(s[0]) if m else 0
+    u = intlinalg.identity(m)
+    v = intlinalg.identity(n)
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        # row dst += c * row src
+        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(src, dst, c):
+        for row in s:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = s[i][j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        p = s[t][t]
+        # clear row and column t by remainder steps
+        dirty = False
+        for i in range(t + 1, m):
+            if s[i][t]:
+                add_row(t, i, -(s[i][t] // p))
+                dirty = dirty or s[i][t] != 0
+        for j in range(t + 1, n):
+            if s[t][j]:
+                add_col(t, j, -(s[t][j] // p))
+                dirty = dirty or s[t][j] != 0
+        if dirty:
+            continue
+        # the pivot must divide everything in the trailing block, or the
+        # divisibility chain d1 | d2 | ... fails; fold an offender in
+        bad = next((i for i in range(t + 1, m)
+                    if any(s[i][j] % p for j in range(t + 1, n))), None)
+        if bad is not None:
+            add_row(bad, t, 1)
+            continue
+        if p < 0:
+            negate_row(t)
+        t += 1
+    return u, s, v
+
+
+
+# -- per-diagram tables by per-crossing scans ------------------------------------
+
+
+def _interior_regions(d: Diagram) -> list[int]:
+    return sorted(r.id for r in d.regions.values()
+                  if all(d.edges[abs(ref)].curve != BD
+                         for cyc in r.cycles for ref in cyc))
+
+
+def per_crossing_defect_system(d: Diagram) -> tuple[list[list[int]],
+                                                    list[tuple[int, str]]]:
+    """The defect rows and labels of ``defect_system``, with every edge
+    scanned once per crossing and curve: an edge of that curve ending at the
+    crossing adds its flanking interior regions (+1 on its left, -1 on its
+    right), one starting there subtracts them, and a loop does neither."""
+    sides = _edge_sides(d)
+    col = {r: i for i, r in enumerate(_interior_regions(d))}
+    rows, labels = [], []
+    for v in d.crossings:
+        for curve in (ALPHA, BETA):
+            row = [0] * len(col)
+            for e in d.edges.values():
+                if e.curve != curve:
+                    continue
+                sign = (1 if e.head == v else 0) - (1 if e.tail == v else 0)
+                if sign == 0:
+                    continue
+                pos, neg = sides[e.id]
+                if pos in col:
+                    row[col[pos]] += sign
+                if neg in col:
+                    row[col[neg]] -= sign
+            rows.append(row)
+            labels.append((v, curve))
+    return rows, labels
+
+
+def per_crossing_curves(d: Diagram) -> dict[int, tuple[int, int]]:
+    """``Diagram.crossing_curves`` with every edge scanned once per
+    crossing: the alpha and beta circle indices of the edges touching it."""
+    out = {}
+    for v in d.crossings:
+        al = be = None
+        for e in d.edges.values():
+            if v in (e.tail, e.head):
+                if e.curve == ALPHA:
+                    al = e.index
+                elif e.curve == BETA:
+                    be = e.index
+        out[v] = (al, be)
+    return out
 
 
 # -- connecting domains by a per-pair Smith solve ------------------------------

@@ -2,6 +2,11 @@
 from __future__ import annotations
 
 import io
+import os
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +16,8 @@ from sfh.builders import BUILDERS, build_example
 from sfh.cli import main
 from sfh.diagram import ALPHA, BD, Diagram, Edge, MARKER, Region, Vertex
 
-DIAGRAMS = Path(__file__).resolve().parent.parent / "diagrams"
+ROOT = Path(__file__).resolve().parent.parent
+DIAGRAMS = ROOT / "diagrams"
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
@@ -233,3 +239,26 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert len(builds) == 1
     assert shared == separate
     assert [code for code, _, _ in shared] == [11, 0, 11, 0, 0]
+
+
+# -- the oldest supported Python --------------------------------------------------
+
+
+def test_oldest_supported_python_gives_the_same_output():
+    floor = re.search(r'requires-python = ">=(\d+\.\d+)"',
+                      (ROOT / "pyproject.toml").read_text()).group(1)
+    exe = shutil.which(f"python{floor}")
+    # a version manager may put a shim on PATH that cannot start this version
+    probe = exe and subprocess.run(
+        [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+        capture_output=True, text=True, timeout=60)
+    if not probe or probe.returncode != 0 or probe.stdout.strip() != floor:
+        pytest.skip(f"no working python{floor} on PATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["-m", "sfh", "example", "torus_lens", "3", "--format", "tsv"]
+    old, new = (subprocess.run([python, *argv], env=env, capture_output=True,
+                               text=True, timeout=120)
+                for python in (exe, sys.executable))
+    assert old.returncode == new.returncode == 0, old.stderr
+    assert old.stdout == new.stdout != ""
+    assert old.stderr == new.stderr

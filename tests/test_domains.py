@@ -27,8 +27,10 @@ from sfh.shd import parse, serialize
 from sfh.spinc import maslov_index
 
 from oracles import (brute_force_positive_domains, connects,
+                     per_crossing_curves, per_crossing_defect_system,
                      per_pair_connecting_domain)
 from test_homology import _nice_variants
+from test_intlinalg import setup_diagrams
 
 
 # -- Domain value type --------------------------------------------------------
@@ -83,6 +85,18 @@ def test_defect_system_shape():
         # alpha and beta conditions at one crossing are negatives of each other
         for i in range(0, len(rows), 2):
             assert rows[i + 1] == [-v for v in rows[i]]
+
+
+def test_one_pass_tables_match_per_crossing_scans():
+    loops = 0
+    for d in setup_diagrams():
+        rows, labels = defect_system(d)
+        assert (rows, labels) == per_crossing_defect_system(d), d.name
+        assert d.crossing_curves == per_crossing_curves(d), d.name
+        loops += any(e.tail == e.head and e.tail in d.crossing_curves
+                     for e in d.edges.values())
+    # torus_lens(1) and lens_knot(1) carry edges from a crossing to itself
+    assert loops >= 3
 
 
 def test_defect_rhs_signs():

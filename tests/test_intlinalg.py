@@ -9,7 +9,7 @@ from sfh.builders import build_example
 from sfh.domains import defect_system
 from sfh.moves import permute_ids
 
-from oracles import solve
+from oracles import dense_smith_normal_form, solve
 
 
 def _mat_eq(a, b):
@@ -89,6 +89,44 @@ def test_snf_relabeled_torus_lens_stays_small():
     diag = [s[i][i] for i in range(len(a[0]))]
     assert diag == [1] * 18 + [20]
     assert sum(1 for row in s for x in row if x) == len(diag)
+
+
+def setup_diagrams():
+    """spheres(1..6), torus_lens(1..20) and lens_knot(1..20), each also
+    under two relabelings; torus_lens(1) has curve loops at its crossing."""
+    for name, params in (("spheres", range(1, 7)), ("torus_lens", range(1, 21)),
+                         ("lens_knot", range(1, 21))):
+        for p in params:
+            d = build_example(name, (p,))
+            yield d
+            for seed in (7, 1250219996):
+                yield permute_ids(d, seed)
+
+
+def test_snf_matches_dense_oracle_on_random_matrices():
+    # small entries with 2, 3, 4 and 6 give non-unit and negative pivots and
+    # blocks that a pivot does not divide, so the folds run too
+    rng = random.Random(78)
+    entries = (1, 2, 3, 4, 6, -1, -2, -3, -4, -6)
+    non_unit = 0
+    for _ in range(2000):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 8)
+        density = rng.uniform(0.1, 1)
+        a = [[rng.choice(entries) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        got = intlinalg.smith_normal_form(a)
+        assert got == dense_smith_normal_form(a), a
+        non_unit += any(got[1][i][i] > 1 for i in range(min(rows, cols)))
+    assert non_unit > 100
+
+
+def test_snf_matches_dense_oracle_on_defect_matrices():
+    count = 0
+    for d in setup_diagrams():
+        a = d.defects.rows or [[0] * len(d.interior_regions)]
+        assert intlinalg.smith_normal_form(a) == dense_smith_normal_form(a), d.name
+        count += 1
+    assert count == 138
 
 
 def test_kernel_random():

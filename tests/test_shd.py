@@ -82,46 +82,66 @@ def parse_error(text):
     return ei.value
 
 
+# (text, message, line, column) for every error parse raises; indented
+# lines, tabs and runs of blanks pin the columns the tokenizer reports
+PARSE_ERRORS = [
+    ("", "empty input, expected header 'shd 1'", 1, 1),
+    ("\n\n# only comments\n", "empty input, expected header 'shd 1'", 1, 1),
+    ("nope 1\n", "expected header 'shd 1'", 1, 1),
+    ("   nope 1\n", "expected header 'shd 1'", 1, 4),
+    ("shd 9\n", "unsupported format version", 1, 5),
+    ("shd\n", "unsupported format version", 1, 1),
+    ("  shd   1 extra\n", "unsupported format version", 1, 9),
+    ("\tshd  2\n", "unsupported format version", 1, 7),
+    ("shd 1\nvertex 1\n", "vertex line needs: vertex <id> <kind>", 2, 1),
+    ("shd 1\n\tvertex 1 crossing extra\n",
+     "vertex line needs: vertex <id> <kind>", 2, 2),
+    ("shd 1\nvertex x crossing\n", "vertex id must be an integer, got 'x'", 2, 8),
+    ("shd 1\n  vertex   x crossing\n",
+     "vertex id must be an integer, got 'x'", 2, 12),
+    ("shd 1\nvertex 0 crossing\n", "vertex id must be positive, got 0", 2, 8),
+    ("shd 1\n vertex  -3 crossing\n", "vertex id must be positive, got -3", 2, 10),
+    ("shd 1\nvertex 1 blob\n", "unknown vertex kind 'blob'", 2, 10),
+    ("shd 1\nvertex 1   \tblob\n", "unknown vertex kind 'blob'", 2, 13),
+    ("shd 1\nedge 1 alpha 1 2\n",
+     "edge line needs: edge <id> <curve> <index> <tail> <head>", 2, 1),
+    ("shd 1\n   edge 1 alpha 1 2 3 4\n",
+     "edge line needs: edge <id> <curve> <index> <tail> <head>", 2, 4),
+    ("shd 1\nedge x alpha 1 2 3\n", "edge id must be an integer, got 'x'", 2, 6),
+    ("shd 1\nedge 1 gamma 1 2 3\n", "unknown curve kind 'gamma'", 2, 8),
+    ("shd 1\nedge 1  \t gamma 1 2 3\n", "unknown curve kind 'gamma'", 2, 11),
+    ("shd 1\nedge 1 alpha 0 2 3\n", "circle index must be positive, got 0", 2, 14),
+    ("shd 1\nedge 1 alpha 1  two 3\n",
+     "tail vertex must be an integer, got 'two'", 2, 17),
+    ("shd 1\nedge 1 alpha 1 2     -3\n", "head vertex must be positive, got -3", 2, 22),
+    ("shd 1\nregion 1 genus 0\n",
+     "region line needs: region <id> genus <g> cycle <refs>...", 2, 1),
+    ("shd 1\n region 1 gens 0 cycle 1\n",
+     "region line needs: region <id> genus <g> cycle <refs>...", 2, 2),
+    ("shd 1\nregion one genus 0 cycle 1\n",
+     "region id must be an integer, got 'one'", 2, 8),
+    ("shd 1\nregion 1 genus g cycle 1\n", "genus must be an integer, got 'g'", 2, 16),
+    ("shd 1\nregion 1 genus -1 cycle 1\n", "genus must be nonnegative", 2, 16),
+    ("shd 1\n  region 1   genus   -1 cycle 1\n", "genus must be nonnegative", 2, 22),
+    ("shd 1\nregion 1 genus 0 cycles 1\n", "expected 'cycle'", 2, 18),
+    ("shd 1\nregion 1 genus 0  1 cycle\n", "expected 'cycle'", 2, 19),
+    ("shd 1\nregion 1 genus 0 cycle 0\n", "edge reference cannot be 0", 2, 24),
+    ("shd 1\nregion 1 genus 0 cycle +1  \t +0\n", "edge reference cannot be 0", 2, 30),
+    ("shd 1\nregion 1 genus 0 cycle 1 x\n",
+     "edge reference must be an integer, got 'x'", 2, 26),
+    ("shd 1\nregion 1 genus 0 cycle\n", "empty cycle", 2, 1),
+    ("shd 1\n\tregion 1 genus 0 cycle 1 cycle\n", "empty cycle", 2, 2),
+    ("shd 1\nwidget 1\n", "unknown record 'widget'", 2, 1),
+    ("shd 1\n\n   widget 1\n", "unknown record 'widget'", 3, 4),
+    ("shd 1\n\t\twidget\n", "unknown record 'widget'", 2, 3),
+]
+
+
 def test_parse_error_positions():
-    err = parse_error("")
-    assert (err.line, err.column) == (1, 1)
-
-    err = parse_error("nope 1\n")
-    assert "expected header" in str(err)
-    assert (err.line, err.column) == (1, 1)
-
-    err = parse_error("shd 9\n")
-    assert "unsupported format version" in str(err)
-    assert (err.line, err.column) == (1, 5)
-
-    err = parse_error("shd 1\nvertex x crossing\n")
-    assert "vertex id must be an integer" in str(err)
-    assert (err.line, err.column) == (2, 8)
-
-    err = parse_error("shd 1\nvertex 1 blob\n")
-    assert "unknown vertex kind" in str(err)
-
-    err = parse_error("shd 1\nvertex 0 crossing\n")
-    assert "must be positive" in str(err)
-
-    err = parse_error("shd 1\nedge 1 alpha 1 2\n")
-    assert "edge line needs" in str(err)
-
-    err = parse_error("shd 1\nedge 1 gamma 1 2 3\n")
-    assert "unknown curve kind" in str(err)
-
-    err = parse_error("shd 1\nregion 1 genus -1 cycle 1\n")
-    assert "genus must be nonnegative" in str(err)
-
-    err = parse_error("shd 1\nregion 1 genus 0 cycle 0\n")
-    assert "edge reference cannot be 0" in str(err)
-
-    err = parse_error("shd 1\nregion 1 genus 0 cycle\n")
-    assert "empty cycle" in str(err)
-
-    err = parse_error("shd 1\nwidget 1\n")
-    assert "unknown record 'widget'" in str(err)
-    assert err.line == 2
+    for text, message, line, column in PARSE_ERRORS:
+        err = parse_error(text)
+        assert (err.line, err.column) == (line, column), text
+        assert str(err) == f"line {line}, column {column}: {message}"
 
 
 def test_parse_accepts_plus_signs_and_comments():
