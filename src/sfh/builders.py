@@ -38,14 +38,8 @@ def product_diagram(genus: int = 1, boundaries: int = 1) -> Diagram:
     return _diagram(f"product({genus},{boundaries})", vertices, edges, regions)
 
 
-def torus_lens_diagram(p: int = 3) -> Diagram:
-    """One alpha and one beta circle on a once-punctured torus, meeting p times.
-
-    The curves wind so that the p crossings fall in p distinct generator
-    classes; the rank is 1 in each, p in total.
-    """
-    if p < 1:
-        raise ValueError("need p >= 1")
+def _torus_lens_cells(p: int) -> tuple[list, list, list]:
+    """The vertex, edge and region rows of ``torus_lens_diagram(p)``."""
     vertices = [(k + 1, CROSSING) for k in range(p)] + [(p + 1, MARKER)]
     edges = []
     for k in range(p):
@@ -61,7 +55,18 @@ def torus_lens_diagram(p: int = 3) -> Diagram:
         if k == 0:
             cycles.append([+(2 * p + 1)])
         regions.append((k + 1, 0, cycles))
-    return _diagram(f"torus_lens({p})", vertices, edges, regions)
+    return vertices, edges, regions
+
+
+def torus_lens_diagram(p: int = 3) -> Diagram:
+    """One alpha and one beta circle on a once-punctured torus, meeting p times.
+
+    The curves wind so that the p crossings fall in p distinct generator
+    classes; the rank is 1 in each, p in total.
+    """
+    if p < 1:
+        raise ValueError("need p >= 1")
+    return _diagram(f"torus_lens({p})", *_torus_lens_cells(p))
 
 
 def s1s2_diagram() -> Diagram:
@@ -182,16 +187,10 @@ def lens_knot_meridian(k: int = 3) -> Diagram:
         ]
         regions = [(1, 0, [[+1, +2, -1, -2], [+3], [+4]])]
         return _diagram("lens_knot(1)", vertices, edges, regions)
-    base = torus_lens_diagram(k)
-    vertices = [(v.id, v.kind) for v in base.vertices.values()] + [(k + 2, MARKER)]
-    edges = [(e.id, e.curve, e.index, e.tail, e.head)
-             for e in base.edges.values()] + [(2 * k + 2, BD, 2, k + 2, k + 2)]
-    regions = []
-    for r in base.regions.values():
-        cycles = [list(c) for c in r.cycles]
-        if r.id == 2:
-            cycles.append([+(2 * k + 2)])
-        regions.append((r.id, r.genus, cycles))
+    vertices, edges, regions = _torus_lens_cells(k)
+    vertices.append((k + 2, MARKER))
+    edges.append((2 * k + 2, BD, 2, k + 2, k + 2))
+    regions[1][2].append([+(2 * k + 2)])  # the second puncture sits in region 2
     return _diagram(f"lens_knot({k})", vertices, edges, regions)
 
 

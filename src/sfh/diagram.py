@@ -7,12 +7,20 @@ complementary faces, each a surface of some genus with one or more boundary
 cycles of signed edge references).  Region cycles keep the region on the
 left, so an interior edge is traversed once forwards and once backwards
 across all regions, while a boundary edge is traversed exactly once.
+
+Validation walks the region cycles once.  A diagram that passes keeps what
+that walk found: the corners at each vertex (``corners_by_vertex``), the
+two sides of each edge (``edge_sides``) and the regions that miss the
+boundary (``interior_regions``).  Later stages read those tables and walk
+no cycle again.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -58,8 +66,7 @@ class Region:
 End = tuple[int, str]
 
 
-@dataclass(frozen=True)
-class Corner:
+class Corner(NamedTuple):
     """One passage of a region boundary through a vertex."""
 
     vertex: int
@@ -70,14 +77,6 @@ class Corner:
 
 def ref_edge(ref: int) -> int:
     return abs(ref)
-
-
-def ref_start(e: Edge, ref: int) -> int:
-    return e.tail if ref > 0 else e.head
-
-
-def ref_end(e: Edge, ref: int) -> int:
-    return e.head if ref > 0 else e.tail
 
 
 class Diagram:
@@ -99,7 +98,10 @@ class Diagram:
         for r in regions:
             if r.id in self.regions:
                 raise InvalidDiagramError(f"duplicate region id {r.id}")
-            self.regions[r.id] = Region(r.id, r.genus, tuple(tuple(c) for c in r.cycles))
+            if (type(r) is not Region or type(r.cycles) is not tuple
+                    or any(type(c) is not tuple for c in r.cycles)):
+                r = Region(r.id, r.genus, tuple(tuple(c) for c in r.cycles))
+            self.regions[r.id] = r
 
     # -- simple accessors ------------------------------------------------
 
@@ -122,14 +124,6 @@ class Diagram:
     def beta_count(self) -> int:
         return len(self.curve_indices(BETA))
 
-    @cached_property
-    def region_ids(self) -> list[int]:
-        return sorted(self.regions)
-
-    def circle_edges(self, curve: str, index: int) -> list[int]:
-        return sorted(e.id for e in self.edges.values()
-                      if e.curve == curve and e.index == index)
-
     def euler_characteristic(self) -> int:
         return (len(self.vertices) - len(self.edges)
                 + sum(r.euler() for r in self.regions.values()))
@@ -137,14 +131,24 @@ class Diagram:
     # -- validation ------------------------------------------------------
 
     def validation_errors(self) -> list[str]:
-        """All invariant violations, as human-readable messages."""
+        """All invariant violations, as human-readable messages.
+
+        The checks run in stages, and a stage with violations ends the
+        check: ids, kinds and references; vertex incidence; circles; region
+        cycles; corners.  The cycle stage is the one walk over the region
+        cycles, and it also builds the corner table, each edge's two sides
+        and each region's boundary contact.  A diagram that passes keeps
+        them as ``corners_by_vertex``, ``edge_sides`` and
+        ``interior_regions``.
+        """
         errs: list[str] = []
+        edges = self.edges
         for v in self.vertices.values():
             if v.id <= 0:
                 errs.append(f"vertex id {v.id} is not positive")
             if v.kind not in VERTEX_KINDS:
                 errs.append(f"vertex {v.id} has unknown kind {v.kind!r}")
-        for e in self.edges.values():
+        for e in edges.values():
             if e.id <= 0:
                 errs.append(f"edge id {e.id} is not positive")
             if e.curve not in CURVE_KINDS:
@@ -154,6 +158,9 @@ class Diagram:
             for endpoint in (e.tail, e.head):
                 if endpoint not in self.vertices:
                     errs.append(f"edge {e.id} references missing vertex {endpoint}")
+        cycles = [cyc for r in self.regions.values() for cyc in r.cycles]
+        refs = set(map(abs, itertools.chain.from_iterable(cycles)))
+        bad_refs = 0 in refs or not refs <= edges.keys()
         for r in self.regions.values():
             if r.id <= 0:
                 errs.append(f"region id {r.id} is not positive")
@@ -164,15 +171,15 @@ class Diagram:
             for cyc in r.cycles:
                 if not cyc:
                     errs.append(f"region {r.id} has an empty boundary cycle")
-                for ref in cyc:
-                    if ref == 0 or ref_edge(ref) not in self.edges:
+                for ref in cyc if bad_refs else ():
+                    if ref == 0 or abs(ref) not in edges:
                         errs.append(f"region {r.id} references missing edge {ref}")
         if errs:
             return errs  # structure is too broken for the relational checks
 
         # boundary edges live on the suture circles, whose only vertices
         # are markers; crossings are exactly the alpha/beta intersections
-        for e in self.edges.values():
+        for e in edges.values():
             if e.curve == BD:
                 for endpoint in (e.tail, e.head):
                     if self.vertices[endpoint].kind != MARKER:
@@ -181,7 +188,7 @@ class Diagram:
 
         # vertex incidence degrees
         ends_at: dict[int, list[tuple[str, int, str, int]]] = {v: [] for v in self.vertices}
-        for e in self.edges.values():
+        for e in edges.values():
             if e.tail in ends_at:
                 ends_at[e.tail].append((e.curve, e.index, "T", e.id))
             if e.head in ends_at:
@@ -189,6 +196,14 @@ class Diagram:
         for v in self.vertices.values():
             ends = ends_at[v.id]
             if v.kind == CROSSING:
+                if len(ends) == 4:
+                    # sorted, a crossing's ends are alpha H, alpha T, beta H,
+                    # beta T, each pair on one circle
+                    a1, a2, b1, b2 = sorted(ends)
+                    if (a1[0] == a2[0] == ALPHA and b1[0] == b2[0] == BETA
+                            and a1[1] == a2[1] and b1[1] == b2[1]
+                            and a1[2] == b1[2] == "H" and a2[2] == b2[2] == "T"):
+                        continue
                 al = [x for x in ends if x[0] == ALPHA]
                 be = [x for x in ends if x[0] == BETA]
                 other = [x for x in ends if x[0] == BD]
@@ -212,7 +227,7 @@ class Diagram:
 
         # each (curve, index) pair is one closed circle
         groups: dict[tuple[str, int], list[Edge]] = {}
-        for e in self.edges.values():
+        for e in edges.values():
             groups.setdefault((e.curve, e.index), []).append(e)
         for (curve, index), group in sorted(groups.items()):
             out_at = {}
@@ -240,24 +255,36 @@ class Diagram:
         if errs:
             return errs
 
-        # cycle connectivity and global edge usage
-        plus_use: dict[int, int] = {e: 0 for e in self.edges}
-        minus_use: dict[int, int] = {e: 0 for e in self.edges}
+        # the one walk over the region cycles: each reference must start
+        # where the one before it ends, and the pair makes a corner there.
+        # A signed reference arrives at its end vertex by one edge end and
+        # leaves its start vertex by the other.
+        arrive: dict[int, tuple[int, End]] = {}
+        leave: dict[int, tuple[int, End]] = {}
+        for e in edges.values():
+            i = e.id
+            head, tail = (i, "H"), (i, "T")
+            arrive[i], arrive[-i] = (e.head, head), (e.tail, tail)
+            leave[i], leave[-i] = (e.tail, tail), (e.head, head)
+        by_vertex: dict[int, list[Corner]] = {v: [] for v in self.vertices}
+        side: dict[int, int] = {}  # signed reference -> its region
         for r in self.regions.values():
+            rid = r.id
             for cyc in r.cycles:
-                for pos, ref in enumerate(cyc):
-                    e = self.edges[ref_edge(ref)]
-                    nxt = cyc[(pos + 1) % len(cyc)]
-                    en = self.edges[ref_edge(nxt)]
-                    if ref_end(e, ref) != ref_start(en, nxt):
+                ref = cyc[0]
+                v, end_in = arrive[ref]
+                for nxt in cyc[1:] + cyc[:1]:
+                    side[ref] = rid
+                    start, end_out = leave[nxt]
+                    if v != start:
                         errs.append(
-                            f"region {r.id}: cycle breaks between refs {ref} and {nxt}")
-                    if ref > 0:
-                        plus_use[e.id] += 1
-                    else:
-                        minus_use[e.id] += 1
-        for e in self.edges.values():
-            p, mn = plus_use[e.id], minus_use[e.id]
+                            f"region {rid}: cycle breaks between refs {ref} and {nxt}")
+                    by_vertex[v].append(Corner(v, rid, end_in, end_out))
+                    ref = nxt
+                    v, end_in = arrive[ref]
+        use = Counter(itertools.chain.from_iterable(cycles))
+        for e in edges.values():
+            p, mn = use[e.id], use[-e.id]
             if e.curve == BD:
                 if p + mn != 1:
                     errs.append(
@@ -269,11 +296,11 @@ class Diagram:
             return errs
 
         # local surface structure: corners at each vertex
-        by_vertex = self.corners_by_vertex
+        curve_of = {i: e.curve for i, e in edges.items()}
         for v in self.vertices.values():
             cs = by_vertex[v.id]
-            ends = {(x[3], x[2]) for x in ends_at[v.id]}
             if v.kind == MARKER:
+                ends = {(x[3], x[2]) for x in ends_at[v.id]}
                 on_bd = next(iter(ends_at[v.id]))[0] == BD
                 want = 1 if on_bd else 2
                 if len(cs) != want:
@@ -290,10 +317,8 @@ class Diagram:
                 succ = {}
                 ok = True
                 for c in cs:
-                    a_end = c.end_in if self.edges[c.end_in[0]].curve == ALPHA else c.end_out
-                    b_end = c.end_in if self.edges[c.end_in[0]].curve == BETA else c.end_out
-                    if (self.edges[a_end[0]].curve != ALPHA
-                            or self.edges[b_end[0]].curve != BETA):
+                    if ((curve_of[c.end_in[0]], curve_of[c.end_out[0]])
+                            not in ((ALPHA, BETA), (BETA, ALPHA))):
                         errs.append(
                             f"crossing {v.id}: corner joins two ends of the same curve")
                         ok = False
@@ -319,6 +344,15 @@ class Diagram:
                 if not (steps == 4 and cur == start):
                     errs.append(
                         f"crossing {v.id}: quadrants do not close into a single cycle")
+        if errs:
+            return errs
+
+        # a boundary edge is used once, by the one region it touches
+        touching = {side.get(e.id, side.get(-e.id))
+                    for e in edges.values() if e.curve == BD}
+        self.corners_by_vertex = {v: tuple(cs) for v, cs in by_vertex.items()}
+        self.edge_sides = {e: (side.get(e), side.get(-e)) for e in edges}
+        self.interior_regions = sorted(r for r in self.regions if r not in touching)
         return errs
 
     # set once the check passes (a failing diagram raises on every call); a
@@ -326,6 +360,9 @@ class Diagram:
     _valid = False
 
     def validate(self) -> None:
+        """Raise InvalidDiagramError with every message of
+        ``validation_errors``, or keep the tables its walk built; a diagram
+        is checked once."""
         if self._valid:
             return
         errs = self.validation_errors()
@@ -334,27 +371,18 @@ class Diagram:
         self._valid = True
 
     # -- derived structure (valid diagrams only) -------------------------
+    #
+    # corners_by_vertex, edge_sides and interior_regions are left behind by
+    # the check; read on a diagram not yet checked, they check it first.
 
-    def _corners(self) -> list[Corner]:
-        out = []
-        for r in self.regions.values():
-            for cyc in r.cycles:
-                for pos, ref in enumerate(cyc):
-                    e = self.edges[ref_edge(ref)]
-                    nxt = cyc[(pos + 1) % len(cyc)]
-                    en = self.edges[ref_edge(nxt)]
-                    v = ref_end(e, ref)
-                    end_in: End = (e.id, "H" if ref > 0 else "T")
-                    end_out: End = (en.id, "T" if nxt > 0 else "H")
-                    out.append(Corner(v, r.id, end_in, end_out))
-        return out
+    def _checked(self, table: str):
+        self.validate()
+        return self.__dict__[table]
 
     @cached_property
     def corners_by_vertex(self) -> dict[int, tuple[Corner, ...]]:
-        out: dict[int, list[Corner]] = {v: [] for v in self.vertices}
-        for c in self._corners():
-            out[c.vertex].append(c)
-        return {v: tuple(cs) for v, cs in out.items()}
+        """vertex id -> the corners at it, in region and cycle order."""
+        return self._checked("corners_by_vertex")
 
     @cached_property
     def quadrants(self) -> dict[int, tuple[Corner, ...]]:
@@ -372,16 +400,7 @@ class Diagram:
     @cached_property
     def edge_sides(self) -> dict[int, tuple[int | None, int | None]]:
         """edge id -> (region traversing +e, region traversing -e)."""
-        pos: dict[int, int | None] = {e: None for e in self.edges}
-        neg: dict[int, int | None] = {e: None for e in self.edges}
-        for r in self.regions.values():
-            for cyc in r.cycles:
-                for ref in cyc:
-                    if ref > 0:
-                        pos[ref] = r.id
-                    else:
-                        neg[-ref] = r.id
-        return {e: (pos[e], neg[e]) for e in self.edges}
+        return self._checked("edge_sides")
 
     @cached_property
     def circle_order(self) -> dict[tuple[str, int], list[int]]:
@@ -416,12 +435,7 @@ class Diagram:
     @cached_property
     def interior_regions(self) -> list[int]:
         """Regions that do not touch the boundary of the surface."""
-        out = []
-        for r in self.regions.values():
-            if all(self.edges[ref_edge(ref)].curve != BD
-                   for cyc in r.cycles for ref in cyc):
-                out.append(r.id)
-        return sorted(out)
+        return self._checked("interior_regions")
 
     @cached_property
     def defects(self):
@@ -482,14 +496,10 @@ def balance_report(d: Diagram) -> list[str]:
     if d.alpha_count != d.beta_count:
         problems.append(
             f"{d.alpha_count} alpha circles vs {d.beta_count} beta circles")
-    touches_bd = {
-        r.id: any(d.edges[ref_edge(ref)].curve == BD
-                  for cyc in r.cycles for ref in cyc)
-        for r in d.regions.values()
-    }
+    inner = set(d.interior_regions)
     for cut, kept in ((ALPHA, BETA), (BETA, ALPHA)):
         for comp in _complement_components(d, kept):
-            if not any(touches_bd[r] for r in comp):
+            if comp <= inner:
                 problems.append(
                     f"component {sorted(comp)} of the complement of the "
                     f"{cut} circles misses the boundary")
@@ -518,19 +528,27 @@ def enumerate_generators(d: Diagram) -> list[Generator]:
     by_alpha: dict[int, list[tuple[int, int]]] = {a: [] for a in alphas}
     for v, (ai, bi) in d.crossing_curves.items():
         by_alpha[ai].append((v, bi))
+    if not alphas:
+        return [()]
+    # depth-first: stack[i] iterates alpha i's crossings, and picks holds
+    # the crossing and beta circle chosen for each alpha before it
     out = []
-
-    def extend(i: int, used_betas: set[int], acc: list[int]):
-        if i == len(alphas):
-            out.append(tuple(sorted(acc)))
-            return
-        for v, bi in by_alpha[alphas[i]]:
-            if bi not in used_betas:
-                used_betas.add(bi)
-                acc.append(v)
-                extend(i + 1, used_betas, acc)
-                acc.pop()
-                used_betas.remove(bi)
-
-    extend(0, set(), [])
+    picks: list[tuple[int, int]] = []
+    used: set[int] = set()
+    stack = [iter(by_alpha[alphas[0]])]
+    while stack:
+        for v, bi in stack[-1]:
+            if bi not in used:
+                break
+        else:
+            stack.pop()
+            if picks:
+                used.remove(picks.pop()[1])
+            continue
+        if len(stack) == len(alphas):
+            out.append(tuple(sorted([p for p, _ in picks] + [v])))
+            continue
+        picks.append((v, bi))
+        used.add(bi)
+        stack.append(iter(by_alpha[alphas[len(stack)]]))
     return sorted(out)

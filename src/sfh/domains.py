@@ -15,10 +15,12 @@ y minus x) and the beta part runs back (x minus y).
 The right-hand side is additive (Ozsvath-Szabo, math/0101206, 2.4): with
 u a v = s the Smith factorization, u rhs(x, y) = S(y) - S(x), where S(z)
 sums the per-crossing images over the points of z.  So each generator z has
-a potential, computed once: its class key, S(z) reduced modulo the Smith
-diagonal (exact where the diagonal is 0), and its quotient q(z), S(z) floor
-divided by the diagonal.  x and y are connected exactly when their keys
-agree, and then v q(y) - v q(x) solves the pair's system.
+a potential, computed once: S(z) and its class key, S(z) reduced modulo the
+Smith diagonal at the diagonal's non-unit positions (exact where it is 0),
+which are read once per diagram.  x and y are connected exactly when their
+keys agree, and then v q(y) - v q(x) solves the pair's system, where the
+quotient q(z), S(z) floor divided by the diagonal, is formed the first time
+a pair needs it.
 
 An admissible diagram has an area form (Stiemke's lemma): positive integer
 region weights w under which periodic domains have area zero.  All domains
@@ -112,30 +114,6 @@ class Domain:
     def __repr__(self):
         return f"Domain({self.describe()})"
 
-    def edge_multiplicity(self, edge_id: int) -> int:
-        """Net multiplicity of the domain boundary along a directed edge."""
-        pos, neg = self.diagram.edge_sides[edge_id]
-        val = 0
-        if pos is not None:
-            val += self.coeff(pos)
-        if neg is not None:
-            val -= self.coeff(neg)
-        return val
-
-    def curve_multiplicities(self) -> dict[tuple[str, int], int]:
-        """For a periodic domain: the whole-circle coefficient per curve."""
-        out = {}
-        for (curve, index), order in self.diagram.circle_order.items():
-            if curve not in (ALPHA, BETA):
-                continue
-            vals = {self.edge_multiplicity(e) for e in order}
-            if len(vals) != 1:
-                raise ValueError(
-                    f"multiplicity is not constant along {curve}({index}); "
-                    "not a periodic domain")
-            out[(curve, index)] = vals.pop()
-        return out
-
 
 # -- the defect system -------------------------------------------------------
 
@@ -156,7 +134,7 @@ class DefectSystem:
 
     def __init__(self, d: Diagram):
         self.diagram = d
-        # generator -> [class key, quotient q, v q or None until needed]
+        # generator -> [class key, S(g), v q(g) or None until needed]
         self._potentials: dict[tuple[int, ...], list] = {}
         # canonical base coefficients -> the coset's nonnegative domains
         self._cosets: dict[tuple[int, ...], tuple[Domain, ...]] = {}
@@ -201,6 +179,16 @@ class DefectSystem:
         return {v: [row[2 * i] - row[2 * i + 1] for row in u]
                 for i, v in enumerate(self.diagram.crossings)}
 
+    @cached_property
+    def diagonal(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """The Smith diagonal, one entry per row (0 past the last column),
+        and its non-unit (position, entry) pairs: a unit entry reduces every
+        total to 0, so only these positions enter a class key."""
+        _, s, v = self.smith
+        n = len(v)
+        diag = [s[i][i] if i < n else 0 for i in range(len(s))]
+        return diag, [(i, e) for i, e in enumerate(diag) if e != 1]
+
     def _potential(self, g: Generator) -> list:
         g = tuple(g)
         pot = self._potentials.get(g)
@@ -210,16 +198,13 @@ class DefectSystem:
                 # no regions to solve for: x and y connect when they agree
                 pot = [frozenset(g), [], []]
             else:
-                images, (_, s, v) = self.images, self.smith
-                total = [0] * len(s)
+                images = self.images
+                total = [0] * len(self.smith[1])
                 for p in set(g):
                     total = [a + b for a, b in zip(total, images[p])]
-                n = len(v)
-                diag = [s[i][i] if i < n else 0 for i in range(len(s))]
-                key = tuple(t % e if e else t
-                            for t, e in zip(total, diag) if e != 1)
-                quot = [t // e if e else 0 for t, e in zip(total[:n], diag)]
-                pot = [key, quot + [0] * (n - len(quot)), None]
+                key = tuple(total[i] % e if e else total[i]
+                            for i, e in self.diagonal[1])
+                pot = [key, total, None]
             self._potentials[g] = pot
         return pot
 
@@ -228,11 +213,16 @@ class DefectSystem:
         return self._potential(g)[0]
 
     def particular(self, g: Generator) -> list[int]:
-        """v q(g), built on first use; for generators x and y with equal
-        keys, particular(y) - particular(x) is a domain from x to y."""
+        """v q(g), built on first use from the quotient q(g) of S(g) by the
+        diagonal; for generators x and y with equal keys, particular(y) -
+        particular(x) is a domain from x to y."""
         pot = self._potential(g)
         if pot[2] is None:
-            pot[2] = intlinalg.mat_vec(self.smith[2], pot[1])
+            v = self.smith[2]
+            n = len(v)
+            quot = [t // e if e else 0
+                    for t, e in zip(pot[1][:n], self.diagonal[0])]
+            pot[2] = intlinalg.mat_vec(v, quot + [0] * (n - len(quot)))
         return pot[2]
 
     @cached_property
@@ -303,23 +293,30 @@ class DefectSystem:
         # D = base + sum t_j * basis_j >= 0.  Basis vector j starts at row
         # leads[j], so rows cuts[j] up to cuts[j + 1] are final once t_0..t_j-1
         # are chosen, and row leads[j] bounds t_j by 0 <= D_lead <= A // w_lead.
+        # Depth first, without recursion: each stack entry is a parent D,
+        # the basis vector its children add, the steps t not yet tried and
+        # the children's j; the root entry's one child is base itself.
         basis, leads, w = self.periodic, self.leads, self.area
         area = sum(a * c for a, c in zip(w, base))
         cuts = [0, *leads, len(w)]
         out = []
-
-        def walk(j: int, cur: list[int]) -> None:
-            if any(c < 0 for c in cur[cuts[j]:cuts[j + 1]]):
-                return
-            if j == len(basis):
-                out.append(Domain(self.diagram, cur))
-                return
-            vec, lead = basis[j].coeffs, leads[j]
-            p = vec[lead]  # positive in the echelon form
-            for t in range(-(cur[lead] // p), (area // w[lead] - cur[lead]) // p + 1):
-                walk(j + 1, [a + t * b for a, b in zip(cur, vec)])
-
-        walk(0, list(base))
+        stack = [(base, base, iter((0,)), 0)]
+        while stack:
+            parent, vec, steps, j = stack[-1]
+            for t in steps:
+                cur = [a + t * b for a, b in zip(parent, vec)]
+                if any(c < 0 for c in cur[cuts[j]:cuts[j + 1]]):
+                    continue
+                if j == len(basis):
+                    out.append(Domain(self.diagram, cur))
+                    continue
+                child, lead = basis[j].coeffs, leads[j]
+                p = child[lead]  # positive in the echelon form
+                stack.append((cur, child, iter(range(
+                    -(cur[lead] // p), (area // w[lead] - cur[lead]) // p + 1)), j + 1))
+                break
+            else:
+                stack.pop()
         out.sort(key=lambda dom: dom.coeffs)
         return tuple(out)
 

@@ -13,21 +13,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(mid):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += c * bk[j]
-    return out
-
-
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 

@@ -8,15 +8,19 @@ its Smith form afresh for every pair, the path the library's per-generator
 potentials replaced; and the pairing invariant at the end reuses
 ``intlinalg.smith_normal_form`` on a matrix of its own.  Some entries are
 earlier forms of library code kept as references for the faster forms that
-replaced them: the dense, fully scanned Smith form and the per-crossing
-scans behind the defect rows and ``Diagram.crossing_curves``.
+replaced them: the dense, fully scanned Smith form, the per-crossing
+scans behind the defect rows and ``Diagram.crossing_curves``, validation
+with one walk of the region cycles per table, and each generator's class
+key and particular solution with the Smith diagonal rebuilt per generator.
+A few helpers that only tests call live here too.
 """
 from __future__ import annotations
 
 import itertools
 
 from sfh import intlinalg
-from sfh.diagram import ALPHA, BD, BETA, Diagram, Generator
+from sfh.diagram import (ALPHA, BD, BETA, CROSSING, CURVE_KINDS, MARKER,
+                         VERTEX_KINDS, Corner, Diagram, Edge, Generator)
 from sfh.domains import Domain
 
 
@@ -42,16 +46,6 @@ def brute_force_generators(d: Diagram) -> list[Generator]:
     return sorted(out)
 
 
-def _edge_sides(d: Diagram) -> dict[int, tuple[int | None, int | None]]:
-    pos: dict[int, int] = {}
-    neg: dict[int, int] = {}
-    for r in d.regions.values():
-        for cyc in r.cycles:
-            for ref in cyc:
-                (pos if ref > 0 else neg)[abs(ref)] = r.id
-    return {e: (pos.get(e), neg.get(e)) for e in d.edges}
-
-
 def connects(d: Diagram, coeffs: dict[int, int], x: Generator,
              y: Generator) -> bool:
     """Direct check of the boundary-termination property at every crossing.
@@ -60,7 +54,7 @@ def connects(d: Diagram, coeffs: dict[int, int], x: Generator,
     than it leaves exactly at y-points (and the reverse at x-points); the
     beta part the other way around.
     """
-    sides = _edge_sides(d)
+    sides = edge_sides(d)
 
     def mult(eid: int) -> int:
         p, n = sides[eid]
@@ -81,6 +75,56 @@ def connects(d: Diagram, coeffs: dict[int, int], x: Generator,
             if jump != want:
                 return False
     return True
+
+
+# -- helpers only the tests call -------------------------------------------------
+
+
+def circle_edges(d: Diagram, curve: str, index: int) -> list[int]:
+    """The edge ids of one circle, sorted."""
+    return sorted(e.id for e in d.edges.values()
+                  if e.curve == curve and e.index == index)
+
+
+def edge_multiplicity(dom: Domain, edge_id: int) -> int:
+    """Net multiplicity of the domain boundary along a directed edge."""
+    pos, neg = dom.diagram.edge_sides[edge_id]
+    val = 0
+    if pos is not None:
+        val += dom.coeff(pos)
+    if neg is not None:
+        val -= dom.coeff(neg)
+    return val
+
+
+def curve_multiplicities(dom: Domain) -> dict[tuple[str, int], int]:
+    """For a periodic domain: the whole-circle coefficient per curve."""
+    out = {}
+    for (curve, index), order in dom.diagram.circle_order.items():
+        if curve not in (ALPHA, BETA):
+            continue
+        vals = {edge_multiplicity(dom, e) for e in order}
+        if len(vals) != 1:
+            raise ValueError(
+                f"multiplicity is not constant along {curve}({index}); "
+                "not a periodic domain")
+        out[(curve, index)] = vals.pop()
+    return out
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        for k in range(mid):
+            c = ai[k]
+            if c:
+                bk = b[k]
+                oi = out[i]
+                for j in range(cols):
+                    oi[j] += c * bk[j]
+    return out
 
 
 # -- the Smith form with dense rows and full scans ------------------------------
@@ -173,20 +217,14 @@ def dense_smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[l
 # -- per-diagram tables by per-crossing scans ------------------------------------
 
 
-def _interior_regions(d: Diagram) -> list[int]:
-    return sorted(r.id for r in d.regions.values()
-                  if all(d.edges[abs(ref)].curve != BD
-                         for cyc in r.cycles for ref in cyc))
-
-
 def per_crossing_defect_system(d: Diagram) -> tuple[list[list[int]],
                                                     list[tuple[int, str]]]:
     """The defect rows and labels of ``defect_system``, with every edge
     scanned once per crossing and curve: an edge of that curve ending at the
     crossing adds its flanking interior regions (+1 on its left, -1 on its
     right), one starting there subtracts them, and a loop does neither."""
-    sides = _edge_sides(d)
-    col = {r: i for i, r in enumerate(_interior_regions(d))}
+    sides = edge_sides(d)
+    col = {r: i for i, r in enumerate(interior_regions(d))}
     rows, labels = [], []
     for v in d.crossings:
         for curve in (ALPHA, BETA):
@@ -221,6 +259,253 @@ def per_crossing_curves(d: Diagram) -> dict[int, tuple[int, int]]:
                     be = e.index
         out[v] = (al, be)
     return out
+
+
+# -- validation by one walk per table -------------------------------------------
+
+
+def _ref_start(e: Edge, ref: int) -> int:
+    return e.tail if ref > 0 else e.head
+
+
+def _ref_end(e: Edge, ref: int) -> int:
+    return e.head if ref > 0 else e.tail
+
+
+def corners(d: Diagram) -> list[Corner]:
+    """Every corner of every region cycle, from its own walk."""
+    out = []
+    for r in d.regions.values():
+        for cyc in r.cycles:
+            for pos, ref in enumerate(cyc):
+                e = d.edges[abs(ref)]
+                nxt = cyc[(pos + 1) % len(cyc)]
+                en = d.edges[abs(nxt)]
+                v = _ref_end(e, ref)
+                end_in = (e.id, "H" if ref > 0 else "T")
+                end_out = (en.id, "T" if nxt > 0 else "H")
+                out.append(Corner(v, r.id, end_in, end_out))
+    return out
+
+
+def corners_by_vertex(d: Diagram) -> dict[int, tuple[Corner, ...]]:
+    """``Diagram.corners_by_vertex`` grouped from ``corners``."""
+    out: dict[int, list[Corner]] = {v: [] for v in d.vertices}
+    for c in corners(d):
+        out[c.vertex].append(c)
+    return {v: tuple(cs) for v, cs in out.items()}
+
+
+def edge_sides(d: Diagram) -> dict[int, tuple[int | None, int | None]]:
+    """``Diagram.edge_sides`` from its own walk: edge id -> (region
+    traversing +e, region traversing -e)."""
+    pos: dict[int, int | None] = {e: None for e in d.edges}
+    neg: dict[int, int | None] = {e: None for e in d.edges}
+    for r in d.regions.values():
+        for cyc in r.cycles:
+            for ref in cyc:
+                if ref > 0:
+                    pos[ref] = r.id
+                else:
+                    neg[-ref] = r.id
+    return {e: (pos[e], neg[e]) for e in d.edges}
+
+
+def interior_regions(d: Diagram) -> list[int]:
+    """``Diagram.interior_regions`` from its own walk: the regions none of
+    whose cycle references is a boundary edge."""
+    out = []
+    for r in d.regions.values():
+        if all(d.edges[abs(ref)].curve != BD for cyc in r.cycles for ref in cyc):
+            out.append(r.id)
+    return sorted(out)
+
+
+def touches_boundary(d: Diagram) -> dict[int, bool]:
+    """region id -> whether a cycle of it runs along a boundary edge, the
+    scan ``balance_report`` made before it read ``interior_regions``."""
+    return {r.id: any(d.edges[abs(ref)].curve == BD
+                      for cyc in r.cycles for ref in cyc)
+            for r in d.regions.values()}
+
+
+def validation_errors(d: Diagram) -> list[str]:
+    """``Diagram.validation_errors`` as written before its cycle walk was
+    merged: the continuity and edge-use pass and the corner table each walk
+    the region cycles, and every crossing takes the long incidence check.
+    Same stages, same messages, same order."""
+    errs: list[str] = []
+    for v in d.vertices.values():
+        if v.id <= 0:
+            errs.append(f"vertex id {v.id} is not positive")
+        if v.kind not in VERTEX_KINDS:
+            errs.append(f"vertex {v.id} has unknown kind {v.kind!r}")
+    for e in d.edges.values():
+        if e.id <= 0:
+            errs.append(f"edge id {e.id} is not positive")
+        if e.curve not in CURVE_KINDS:
+            errs.append(f"edge {e.id} has unknown curve kind {e.curve!r}")
+        if e.index <= 0:
+            errs.append(f"edge {e.id} has non-positive circle index {e.index}")
+        for endpoint in (e.tail, e.head):
+            if endpoint not in d.vertices:
+                errs.append(f"edge {e.id} references missing vertex {endpoint}")
+    for r in d.regions.values():
+        if r.id <= 0:
+            errs.append(f"region id {r.id} is not positive")
+        if r.genus < 0:
+            errs.append(f"region {r.id} has negative genus")
+        if not r.cycles:
+            errs.append(f"region {r.id} has no boundary cycles")
+        for cyc in r.cycles:
+            if not cyc:
+                errs.append(f"region {r.id} has an empty boundary cycle")
+            for ref in cyc:
+                if ref == 0 or abs(ref) not in d.edges:
+                    errs.append(f"region {r.id} references missing edge {ref}")
+    if errs:
+        return errs
+
+    for e in d.edges.values():
+        if e.curve == BD:
+            for endpoint in (e.tail, e.head):
+                if d.vertices[endpoint].kind != MARKER:
+                    errs.append(
+                        f"boundary edge {e.id} touches non-marker vertex {endpoint}")
+
+    ends_at: dict[int, list[tuple[str, int, str, int]]] = {v: [] for v in d.vertices}
+    for e in d.edges.values():
+        if e.tail in ends_at:
+            ends_at[e.tail].append((e.curve, e.index, "T", e.id))
+        if e.head in ends_at:
+            ends_at[e.head].append((e.curve, e.index, "H", e.id))
+    for v in d.vertices.values():
+        ends = ends_at[v.id]
+        if v.kind == CROSSING:
+            al = [x for x in ends if x[0] == ALPHA]
+            be = [x for x in ends if x[0] == BETA]
+            other = [x for x in ends if x[0] == BD]
+            if (len(al) != 2 or len(be) != 2 or other
+                    or sorted(x[2] for x in al) != ["H", "T"]
+                    or sorted(x[2] for x in be) != ["H", "T"]
+                    or len({x[1] for x in al}) != 1
+                    or len({x[1] for x in be}) != 1):
+                errs.append(
+                    f"crossing {v.id} must carry one alpha circle through it "
+                    f"and one beta circle through it; found ends {sorted(ends)}")
+        else:
+            if (len(ends) != 2
+                    or sorted(x[2] for x in ends) != ["H", "T"]
+                    or len({(x[0], x[1]) for x in ends}) != 1):
+                errs.append(
+                    f"marker {v.id} must carry exactly one circle through it; "
+                    f"found ends {sorted(ends)}")
+    if errs:
+        return errs
+
+    groups: dict[tuple[str, int], list[Edge]] = {}
+    for e in d.edges.values():
+        groups.setdefault((e.curve, e.index), []).append(e)
+    for (curve, index), group in sorted(groups.items()):
+        out_at = {}
+        for e in group:
+            if e.tail in out_at:
+                errs.append(f"circle {curve}({index}) branches at vertex {e.tail}")
+            out_at[e.tail] = e
+        heads = sorted(e.head for e in group)
+        if heads != sorted(e.tail for e in group):
+            errs.append(f"circle {curve}({index}) does not close up")
+            continue
+        start = group[0]
+        seen = {start.id}
+        cur = start
+        while True:
+            nxt = out_at.get(cur.head)
+            if nxt is None or (nxt.id in seen and nxt.id != start.id):
+                break
+            if nxt.id == start.id:
+                break
+            seen.add(nxt.id)
+            cur = nxt
+        if len(seen) != len(group):
+            errs.append(f"circle {curve}({index}) is not a single closed loop")
+    if errs:
+        return errs
+
+    plus_use: dict[int, int] = {e: 0 for e in d.edges}
+    minus_use: dict[int, int] = {e: 0 for e in d.edges}
+    for r in d.regions.values():
+        for cyc in r.cycles:
+            for pos, ref in enumerate(cyc):
+                e = d.edges[abs(ref)]
+                nxt = cyc[(pos + 1) % len(cyc)]
+                en = d.edges[abs(nxt)]
+                if _ref_end(e, ref) != _ref_start(en, nxt):
+                    errs.append(
+                        f"region {r.id}: cycle breaks between refs {ref} and {nxt}")
+                if ref > 0:
+                    plus_use[e.id] += 1
+                else:
+                    minus_use[e.id] += 1
+    for e in d.edges.values():
+        p, mn = plus_use[e.id], minus_use[e.id]
+        if e.curve == BD:
+            if p + mn != 1:
+                errs.append(
+                    f"boundary edge {e.id} used {p + mn} times; want exactly 1")
+        elif (p, mn) != (1, 1):
+            errs.append(
+                f"interior edge {e.id} used +{p}/-{mn} times; want once each way")
+    if errs:
+        return errs
+
+    by_vertex = corners_by_vertex(d)
+    for v in d.vertices.values():
+        cs = by_vertex[v.id]
+        ends = {(x[3], x[2]) for x in ends_at[v.id]}
+        if v.kind == MARKER:
+            on_bd = next(iter(ends_at[v.id]))[0] == BD
+            want = 1 if on_bd else 2
+            if len(cs) != want:
+                errs.append(f"marker {v.id} has {len(cs)} region corners; want {want}")
+            for c in cs:
+                if {c.end_in, c.end_out} != ends:
+                    errs.append(
+                        f"marker {v.id}: corner does not pass straight through")
+        else:
+            if len(cs) != 4:
+                errs.append(f"crossing {v.id} has {len(cs)} region corners; want 4")
+                continue
+            succ = {}
+            ok = True
+            for c in cs:
+                a_end = c.end_in if d.edges[c.end_in[0]].curve == ALPHA else c.end_out
+                b_end = c.end_in if d.edges[c.end_in[0]].curve == BETA else c.end_out
+                if (d.edges[a_end[0]].curve != ALPHA
+                        or d.edges[b_end[0]].curve != BETA):
+                    errs.append(
+                        f"crossing {v.id}: corner joins two ends of the same curve")
+                    ok = False
+                    break
+                if c.end_in in succ:
+                    errs.append(f"crossing {v.id}: edge end reused by two corners")
+                    ok = False
+                    break
+                succ[c.end_in] = c.end_out
+            if not ok:
+                continue
+            start = cs[0].end_in
+            cur = start
+            steps = 0
+            while True:
+                cur = succ.get(cur)
+                steps += 1
+                if cur is None or cur == start or steps == 4:
+                    break
+            if not (steps == 4 and cur == start):
+                errs.append(
+                    f"crossing {v.id}: quadrants do not close into a single cycle")
+    return errs
 
 
 # -- connecting domains by a per-pair Smith solve ------------------------------
@@ -272,6 +557,23 @@ def per_pair_connecting_domain(d: Diagram, x: Generator,
         if q:
             sol = [s - q * c for s, c in zip(sol, b.coeffs)]
     return Domain(d, sol)
+
+
+def dense_potential(d: Diagram, g: Generator) -> tuple[tuple, list[int]]:
+    """Generator g's class key and particular solution as they were formed
+    per generator: the Smith diagonal rebuilt for each, the key read off
+    every position, and the quotient taken together with the key."""
+    if not d.interior_regions:
+        return frozenset(g), []
+    images, (_, s, v) = d.defects.images, d.defects.smith
+    total = [0] * len(s)
+    for p in set(g):
+        total = [a + b for a, b in zip(total, images[p])]
+    n = len(v)
+    diag = [s[i][i] if i < n else 0 for i in range(len(s))]
+    key = tuple(t % e if e else t for t, e in zip(total, diag) if e != 1)
+    quot = [t // e if e else 0 for t, e in zip(total[:n], diag)]
+    return key, intlinalg.mat_vec(v, quot + [0] * (n - len(quot)))
 
 
 def brute_force_positive_domains(d: Diagram, x: Generator, y: Generator,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sfh import cli, shd
+from sfh import cli, disjoint_union, sfh, shd
 from sfh.builders import BUILDERS, build_example
 from sfh.cli import main
 from sfh.diagram import ALPHA, BD, Diagram, Edge, MARKER, Region, Vertex
@@ -132,6 +132,24 @@ def test_compute_tsv_splits_streams(capsys):
     assert "\t" not in err
 
 
+def test_wide_diagram_needs_no_recursion(capsys, tmp_path):
+    # 1,200 alpha circles: one level per circle in a recursive enumeration
+    # would pass the interpreter's recursion limit.  The copies are joined
+    # as a balanced tree, since a chain of unions takes quadratic time.
+    parts = [build_example("torus_lens", (1,)) for _ in range(1200)]
+    while len(parts) > 1:
+        pairs = [parts[i:i + 2] for i in range(0, len(parts), 2)]
+        parts = [disjoint_union(*p) if len(p) == 2 else p[0] for p in pairs]
+    (d,) = parts
+    assert d.alpha_count == 1200
+    assert sfh(d).signature() == "d 0 ranks 0:1; total 1"
+    path = tmp_path / "wide.shd"
+    path.write_text(shd.serialize(d), encoding="utf-8")
+    code, out, _ = run(capsys, "compute", str(path))
+    assert code == 0
+    assert out.rstrip().endswith("total 1"), out[-200:]
+
+
 def test_compute_not_admissible_exit_2(capsys):
     code, out, err = run_fail(capsys, "compute",
                               str(DIAGRAMS / "s1s2_disjoint.shd"))
@@ -244,17 +262,31 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
 # -- the oldest supported Python --------------------------------------------------
 
 
+def _floor_env(floor: str) -> dict[str, str]:
+    """The environment to run python<floor> in.  A pyenv shim on PATH starts
+    only a version pyenv has selected, so when pyenv lists an installed
+    <floor>.x, PYENV_VERSION selects it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True,
+                                text=True, timeout=60).stdout.split()
+        found = [v for v in listed if v.startswith(floor + ".")]
+        if found:
+            env["PYENV_VERSION"] = found[0]
+    return env
+
+
 def test_oldest_supported_python_gives_the_same_output():
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"',
                       (ROOT / "pyproject.toml").read_text()).group(1)
     exe = shutil.which(f"python{floor}")
-    # a version manager may put a shim on PATH that cannot start this version
+    env = _floor_env(floor)
     probe = exe and subprocess.run(
         [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
-        capture_output=True, text=True, timeout=60)
+        env=env, capture_output=True, text=True, timeout=60)
     if not probe or probe.returncode != 0 or probe.stdout.strip() != floor:
         pytest.skip(f"no working python{floor} on PATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     argv = ["-m", "sfh", "example", "torus_lens", "3", "--format", "tsv"]
     old, new = (subprocess.run([python, *argv], env=env, capture_output=True,
                                text=True, timeout=120)

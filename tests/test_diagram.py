@@ -20,7 +20,7 @@ from sfh.diagram import (
     is_balanced,
 )
 
-from oracles import brute_force_generators
+from oracles import brute_force_generators, circle_edges
 
 CORPUS = [
     build_example("product", [1, 1]),
@@ -196,7 +196,7 @@ def test_edge_sides_cover_usage():
 def test_circle_order_is_cyclic_cover():
     for d in CORPUS:
         for (curve, index), verts in d.circle_order.items():
-            edges = d.circle_edges(curve, index)
+            edges = circle_edges(d, curve, index)
             assert len(verts) == len(edges)
 
 

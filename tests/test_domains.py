@@ -27,8 +27,8 @@ from sfh.shd import parse, serialize
 from sfh.spinc import maslov_index
 
 from oracles import (brute_force_positive_domains, connects,
-                     per_crossing_curves, per_crossing_defect_system,
-                     per_pair_connecting_domain)
+                     curve_multiplicities, dense_potential, per_crossing_curves,
+                     per_crossing_defect_system, per_pair_connecting_domain)
 from test_homology import _nice_variants
 from test_intlinalg import setup_diagrams
 
@@ -66,10 +66,10 @@ def test_domain_rejects_bad_coefficients():
 def test_curve_multiplicities():
     d = build_example("s1s2", [])
     (b,) = periodic_basis(d)
-    assert b.curve_multiplicities() == {(ALPHA, 1): 1, (BETA, 1): -1}
+    assert curve_multiplicities(b) == {(ALPHA, 1): 1, (BETA, 1): -1}
     partial = Domain.from_dict(d, {1: 1})
     with pytest.raises(ValueError, match="not constant along"):
-        partial.curve_multiplicities()
+        curve_multiplicities(partial)
 
 
 # -- defect system ------------------------------------------------------------
@@ -207,6 +207,16 @@ def test_potentials_reduce_modulo_the_smith_diagonal():
         assert connecting_domain(d, x, y) == per_pair_connecting_domain(d, x, y)
     assert connecting_domain(d, (1,), (2,)).coeffs == (2, 0)
     assert connecting_domain(d, (1,), (1, 2)) is None  # 3 is odd
+
+
+def test_potentials_match_the_dense_per_generator_oracle():
+    count = 0
+    for d in setup_diagrams():
+        ds = d.defects
+        for g in enumerate_generators(d):
+            assert (ds.key(g), ds.particular(g)) == dense_potential(d, g), (d.name, g)
+        count += 1
+    assert count == 138
 
 
 def test_connecting_domain_rejects_bad_generators():

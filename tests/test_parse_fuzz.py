@@ -25,8 +25,9 @@ EXPECTED = (ParseError, InvalidDiagramError, NotBalancedError,
 
 # replacement tokens: every token of the corpus, plus edge cases of the format
 WORDS = sorted({tok for text in FILES for tok in text.split()}
-               | {"0", "-1", "+0", "++1", "99999", "10" * 30, "1.5", "x", "#",
-                  "cycle", "genus", "shd", "vertex", "edge", "region"})
+               | {"0", "-1", "+0", "++1", "+-1", "0_1", "\uff11", "99999",
+                  "10" * 30, "1.5", "x", "#", "cycle", "genus", "shd", "vertex",
+                  "edge", "region"})
 
 
 def _mutate(data, text: str) -> str:

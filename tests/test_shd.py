@@ -129,6 +129,17 @@ PARSE_ERRORS = [
     ("shd 1\nregion 1 genus 0 cycle +1  \t +0\n", "edge reference cannot be 0", 2, 30),
     ("shd 1\nregion 1 genus 0 cycle 1 x\n",
      "edge reference must be an integer, got 'x'", 2, 26),
+    ("shd 1\nregion 1 genus 0 cycle ++1\n",
+     "edge reference must be an integer, got '++1'", 2, 24),
+    ("shd 1\nregion 1 genus 0 cycle +1 +-1\n",
+     "edge reference must be an integer, got '+-1'", 2, 27),
+    ("shd 1\nvertex 0_1 crossing\n", "vertex id must be an integer, got '0_1'", 2, 8),
+    ("shd 1\nvertex \uff11 crossing\n",
+     "vertex id must be an integer, got '\uff11'", 2, 8),
+    ("shd 1\n# name: caf\u00e9\nedge 1 alpha 1 2 \u0663\n",
+     "head vertex must be an integer, got '\u0663'", 3, 18),
+    ("shd 1\nregion 1 genus 0 cycle +1 -2_0 cycle 3\n",
+     "edge reference must be an integer, got '-2_0'", 2, 27),
     ("shd 1\nregion 1 genus 0 cycle\n", "empty cycle", 2, 1),
     ("shd 1\n\tregion 1 genus 0 cycle 1 cycle\n", "empty cycle", 2, 2),
     ("shd 1\nwidget 1\n", "unknown record 'widget'", 2, 1),
