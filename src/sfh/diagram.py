@@ -196,22 +196,15 @@ class Diagram:
         for v in self.vertices.values():
             ends = ends_at[v.id]
             if v.kind == CROSSING:
-                if len(ends) == 4:
-                    # sorted, a crossing's ends are alpha H, alpha T, beta H,
-                    # beta T, each pair on one circle
+                # sorted, a crossing's ends are alpha H, alpha T, beta H,
+                # beta T, each pair on one circle
+                ok = len(ends) == 4
+                if ok:
                     a1, a2, b1, b2 = sorted(ends)
-                    if (a1[0] == a2[0] == ALPHA and b1[0] == b2[0] == BETA
-                            and a1[1] == a2[1] and b1[1] == b2[1]
-                            and a1[2] == b1[2] == "H" and a2[2] == b2[2] == "T"):
-                        continue
-                al = [x for x in ends if x[0] == ALPHA]
-                be = [x for x in ends if x[0] == BETA]
-                other = [x for x in ends if x[0] == BD]
-                if (len(al) != 2 or len(be) != 2 or other
-                        or sorted(x[2] for x in al) != ["H", "T"]
-                        or sorted(x[2] for x in be) != ["H", "T"]
-                        or len({x[1] for x in al}) != 1
-                        or len({x[1] for x in be}) != 1):
+                    ok = (a1[0] == a2[0] == ALPHA and b1[0] == b2[0] == BETA
+                          and a1[1] == a2[1] and b1[1] == b2[1]
+                          and a1[2] == b1[2] == "H" and a2[2] == b2[2] == "T")
+                if not ok:
                     errs.append(
                         f"crossing {v.id} must carry one alpha circle through it "
                         f"and one beta circle through it; found ends {sorted(ends)}")

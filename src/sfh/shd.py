@@ -31,10 +31,6 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\S+")
-# the format's integers: ASCII digits after an optional sign.  int() also
-# takes underscores and non-ASCII digits, which a line that is ASCII and has
-# no underscore cannot hold, so only the tokens of other lines are matched
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _column(raw: str, k: int) -> int:
@@ -42,10 +38,12 @@ def _column(raw: str, k: int) -> int:
     return [m.start() + 1 for m in _TOKEN.finditer(raw)][k]
 
 
-def _int(tok: str, what: str, line: int, raw: str, k: int, plain: bool,
+def _int(tok: str, what: str, line: int, raw: str, k: int,
          positive: bool = False) -> int:
     try:
-        if not plain and not _INTEGER.fullmatch(tok):
+        # on a whitespace-free token, int() takes ASCII [+-]?[0-9]+ plus
+        # underscores and non-ASCII digits; the format allows only the former
+        if "_" in tok or not tok.isascii():
             raise ValueError
         val = int(tok)
     except ValueError:
@@ -77,7 +75,6 @@ def parse(text: str) -> Diagram:
             if m and name is None:
                 name = m.group(1)
             continue
-        plain = raw.isascii() and "_" not in raw
         if not saw_header:
             if kind != "shd":
                 raise ParseError("expected header 'shd 1'", lineno, _column(raw, 0))
@@ -90,7 +87,7 @@ def parse(text: str) -> Diagram:
             if len(toks) != 3:
                 raise ParseError("vertex line needs: vertex <id> <kind>",
                                  lineno, _column(raw, 0))
-            vid = _int(toks[1], "vertex id", lineno, raw, 1, plain, positive=True)
+            vid = _int(toks[1], "vertex id", lineno, raw, 1, positive=True)
             vkind = toks[2]
             if vkind not in VERTEX_KINDS:
                 raise ParseError(f"unknown vertex kind {vkind!r}", lineno,
@@ -101,23 +98,22 @@ def parse(text: str) -> Diagram:
                 raise ParseError(
                     "edge line needs: edge <id> <curve> <index> <tail> <head>",
                     lineno, _column(raw, 0))
-            eid = _int(toks[1], "edge id", lineno, raw, 1, plain, positive=True)
+            eid = _int(toks[1], "edge id", lineno, raw, 1, positive=True)
             curve = toks[2]
             if curve not in CURVE_KINDS:
                 raise ParseError(f"unknown curve kind {curve!r}", lineno,
                                  _column(raw, 2))
-            index = _int(toks[3], "circle index", lineno, raw, 3, plain,
-                         positive=True)
-            tail = _int(toks[4], "tail vertex", lineno, raw, 4, plain, positive=True)
-            head = _int(toks[5], "head vertex", lineno, raw, 5, plain, positive=True)
+            index = _int(toks[3], "circle index", lineno, raw, 3, positive=True)
+            tail = _int(toks[4], "tail vertex", lineno, raw, 4, positive=True)
+            head = _int(toks[5], "head vertex", lineno, raw, 5, positive=True)
             edges.append(Edge(eid, curve, index, tail, head))
         elif kind == "region":
             if len(toks) < 5 or toks[2] != "genus":
                 raise ParseError(
                     "region line needs: region <id> genus <g> cycle <refs>...",
                     lineno, _column(raw, 0))
-            rid = _int(toks[1], "region id", lineno, raw, 1, plain, positive=True)
-            genus = _int(toks[3], "genus", lineno, raw, 3, plain)
+            rid = _int(toks[1], "region id", lineno, raw, 1, positive=True)
+            genus = _int(toks[3], "genus", lineno, raw, 3)
             if genus < 0:
                 raise ParseError("genus must be nonnegative", lineno, _column(raw, 3))
             if toks[4] != "cycle":
@@ -128,7 +124,7 @@ def parse(text: str) -> Diagram:
                 if tok == "cycle":
                     cycles.append([])
                     continue
-                ref = _int(tok, "edge reference", lineno, raw, k, plain)
+                ref = _int(tok, "edge reference", lineno, raw, k)
                 if ref == 0:
                     raise ParseError("edge reference cannot be 0", lineno,
                                      _column(raw, k))
