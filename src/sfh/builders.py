@@ -1,8 +1,9 @@
 """Ready-made example diagrams.
 
-Each builder returns a validated diagram.  Cell tables are hand-checked:
-every interior edge is referenced once with each sign, boundary edges once,
-and the quadrant structure at each crossing closes up.
+Cell tables are hand-checked: every interior edge is referenced once with
+each sign, boundary edges once, and the quadrant structure at each crossing
+closes up.  So a builder does not validate its diagram; like any diagram, it
+is validated on first use (``sfh()``, or the first read of a cell table).
 """
 from __future__ import annotations
 
@@ -14,14 +15,12 @@ from .diagram import (ALPHA, BD, BETA, CROSSING, MARKER, Diagram, Edge,
 
 
 def _diagram(name, vertices, edges, regions) -> Diagram:
-    d = Diagram(
+    return Diagram(
         [Vertex(i, k) for i, k in vertices],
         [Edge(i, c, x, t, h) for i, c, x, t, h in edges],
         [Region(i, g, tuple(tuple(c) for c in cycs)) for i, g, cycs in regions],
         name=name,
     )
-    d.validate()
-    return d
 
 
 def product_diagram(genus: int = 1, boundaries: int = 1) -> Diagram:
@@ -245,31 +244,30 @@ def hexagon_example() -> Diagram:
 class BuilderSpec:
     name: str
     build: Callable[..., Diagram]
-    arity: int
     defaults: tuple[int, ...]
     summary: str
 
 
 BUILDERS: dict[str, BuilderSpec] = {
     s.name: s for s in [
-        BuilderSpec("product", product_diagram, 2, (1, 1),
+        BuilderSpec("product", product_diagram, (1, 1),
                     "product manifold over a surface; total rank 1"),
-        BuilderSpec("torus_lens", torus_lens_diagram, 1, (3,),
+        BuilderSpec("torus_lens", torus_lens_diagram, (3,),
                     "p crossings on a punctured torus; p classes of rank 1"),
-        BuilderSpec("s1s2", s1s2_diagram, 0, (),
+        BuilderSpec("s1s2", s1s2_diagram, (),
                     "double bigon on a punctured torus; one class, ranks 1+1"),
-        BuilderSpec("s1s2_disjoint", s1s2_disjoint, 0, (),
+        BuilderSpec("s1s2_disjoint", s1s2_disjoint, (),
                     "disjoint parallel curves; not admissible"),
-        BuilderSpec("annulus_s3_2", annulus_s3_2, 0, (),
+        BuilderSpec("annulus_s3_2", annulus_s3_2, (),
                     "double bigon, two boundary circles; one class of rank 2"),
-        BuilderSpec("spheres", spheres_diagram, 1, (3,),
+        BuilderSpec("spheres", spheres_diagram, (3,),
                     "n-holed sphere with curve bands; 2^(n-1) generators, "
                     "binomial ranks"),
-        BuilderSpec("lens_knot", lens_knot_meridian, 1, (3,),
+        BuilderSpec("lens_knot", lens_knot_meridian, (3,),
                     "torus winding plus a second puncture; k classes of rank 1"),
-        BuilderSpec("nontaut", nontaut_example, 0, (),
+        BuilderSpec("nontaut", nontaut_example, (),
                     "boundary-parallel disjoint curves; homology vanishes"),
-        BuilderSpec("hexagon", hexagon_example, 0, (),
+        BuilderSpec("hexagon", hexagon_example, (),
                     "six-cornered interior region; valid but not nice"),
     ]
 }
@@ -280,7 +278,8 @@ def build_example(name: str, args: tuple[int, ...] = ()) -> Diagram:
     if spec is None:
         raise ValueError(f"unknown example {name!r}; choices: "
                          + ", ".join(sorted(BUILDERS)))
-    if len(args) > spec.arity:
-        raise ValueError(f"example {name} takes at most {spec.arity} parameters")
+    if len(args) > len(spec.defaults):
+        raise ValueError(
+            f"example {name} takes at most {len(spec.defaults)} parameters")
     full = tuple(args) + spec.defaults[len(args):]
     return spec.build(*full)

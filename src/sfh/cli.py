@@ -174,30 +174,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="diagram file, or - for stdin")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("compute", help="compute homology ranks")
-    p.add_argument("file", help="diagram file, or - for stdin")
-    p.add_argument("--spinc", action="store_true",
-                   help="list the generators of each class")
-    p.add_argument("--gradings", action="store_true",
-                   help="list the grading of each generator")
-    p.add_argument("--format", choices=("table", "tsv"), default="table",
-                   help="result format (tsv moves diagnostics to stderr)")
-    p.set_defaults(func=_cmd_compute)
+    compute = sub.add_parser("compute", help="compute homology ranks")
+    compute.add_argument("file", help="diagram file, or - for stdin")
+    compute.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("example", help="build a packaged example diagram")
-    p.add_argument("name", nargs="?", help="example name (see --list)")
-    p.add_argument("params", nargs="*", type=int,
-                   help="integer parameters for the example")
-    p.add_argument("--list", action="store_true", help="list available examples")
-    p.add_argument("--emit", action="store_true",
-                   help="print the diagram file instead of computing")
-    p.add_argument("--spinc", action="store_true",
-                   help="list the generators of each class")
-    p.add_argument("--gradings", action="store_true",
-                   help="list the grading of each generator")
-    p.add_argument("--format", choices=("table", "tsv"), default="table",
-                   help="result format (tsv moves diagnostics to stderr)")
-    p.set_defaults(func=_cmd_example)
+    example = sub.add_parser("example", help="build a packaged example diagram")
+    example.add_argument("name", nargs="?", help="example name (see --list)")
+    example.add_argument("params", nargs="*", type=int,
+                         help="integer parameters for the example")
+    example.add_argument("--list", action="store_true",
+                         help="list available examples")
+    example.add_argument("--emit", action="store_true",
+                         help="print the diagram file instead of computing")
+    example.set_defaults(func=_cmd_example)
+
+    # the result options both computing subcommands take
+    for p in (compute, example):
+        p.add_argument("--spinc", action="store_true",
+                       help="list the generators of each class")
+        p.add_argument("--gradings", action="store_true",
+                       help="list the grading of each generator")
+        p.add_argument("--format", choices=("table", "tsv"), default="table",
+                       help="result format (tsv moves diagnostics to stderr)")
     return parser
 
 

@@ -396,26 +396,6 @@ class Diagram:
         return self._checked("edge_sides")
 
     @cached_property
-    def circle_order(self) -> dict[tuple[str, int], list[int]]:
-        """Each circle's edges in traversal order (head feeds next tail)."""
-        out = {}
-        groups: dict[tuple[str, int], list[Edge]] = {}
-        for e in self.edges.values():
-            groups.setdefault((e.curve, e.index), []).append(e)
-        for key, group in groups.items():
-            out_at = {e.tail: e for e in group}
-            start = min(group, key=lambda e: e.id)
-            order = [start.id]
-            cur = start
-            while True:
-                cur = out_at[cur.head]
-                if cur.id == start.id:
-                    break
-                order.append(cur.id)
-            out[key] = order
-        return out
-
-    @cached_property
     def crossing_curves(self) -> dict[int, tuple[int, int]]:
         """crossing id -> (alpha index, beta index) meeting there."""
         seen: dict[int, dict[str, int]] = {v: {} for v in self.crossings}

@@ -3,7 +3,10 @@
 Stabilization, marker insertion, and product-arc cuts preserve the
 homology; disjoint union multiplies it; deleting a curve pair produces a
 genuinely different (but still valid and balanced) diagram.  Every move
-returns a new validated diagram and leaves its input untouched.
+returns a new diagram and leaves its input untouched.  A move of valid
+diagrams gives a valid one, so the result is not validated here: like any
+diagram, it is validated on first use (``sfh()``, or the first read of a cell
+table).
 """
 from __future__ import annotations
 
@@ -17,12 +20,6 @@ from .diagram import (ALPHA, BD, BETA, CROSSING, MARKER, Diagram, Edge,
 def _next_ids(d: Diagram) -> tuple[int, int, int]:
     return (max(d.vertices, default=0), max(d.edges, default=0),
             max(d.regions, default=0))
-
-
-def _rebuild(d: Diagram, vertices, edges, regions, name) -> Diagram:
-    out = Diagram(vertices, edges, regions, name=name)
-    out.validate()
-    return out
 
 
 def _max_index(d: Diagram, curve: str) -> int:
@@ -55,8 +52,8 @@ def stabilize(d: Diagram, region_id: int) -> Diagram:
                                   r.cycles + ((a, b, -a, -b),)))
         else:
             regions.append(r)
-    return _rebuild(d, vertices, edges, regions,
-                    f"{d.name}+stab(r{region_id})" if d.name else None)
+    return Diagram(vertices, edges, regions,
+                   name=f"{d.name}+stab(r{region_id})" if d.name else None)
 
 
 def insert_marker(d: Diagram, edge_id: int) -> Diagram:
@@ -86,7 +83,7 @@ def insert_marker(d: Diagram, edge_id: int) -> Diagram:
                     new.append(ref)
             cycles.append(tuple(new))
         regions.append(Region(r.id, r.genus, tuple(cycles)))
-    return _rebuild(d, vertices, edges, regions, d.name)
+    return Diagram(vertices, edges, regions, name=d.name)
 
 
 def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
@@ -111,7 +108,7 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
     name = None
     if d1.name and d2.name:
         name = f"{d1.name}|{d2.name}"
-    return _rebuild(d1, vertices, edges, regions, name)
+    return Diagram(vertices, edges, regions, name=name)
 
 
 # -- product-arc cuts ---------------------------------------------------------
@@ -294,8 +291,8 @@ def cut_product_arc(d: Diagram, arc: ProductArc) -> Diagram:
     edges = [e for e in d.edges.values() if e.id not in (ea, eb)] + new_edges
     edges = _relabel_bd_circles(edges)
     regions = [x for x in d.regions.values() if x.id != r.id] + new_regions
-    return _rebuild(d, vertices, edges, regions,
-                    f"{d.name}|cut" if d.name else None)
+    return Diagram(vertices, edges, regions,
+                   name=f"{d.name}|cut" if d.name else None)
 
 
 # -- curve-pair deletion ------------------------------------------------------
@@ -414,7 +411,7 @@ def delete_curve_pair(d: Diagram, alpha_index: int, beta_index: int) -> Diagram:
 
     edges = [e for e in d.edges.values() if e.id not in dead]
     name = f"{d.name}-a{alpha_index}b{beta_index}" if d.name else None
-    return _rebuild(d, vertices, edges, regions, name)
+    return Diagram(vertices, edges, regions, name=name)
 
 
 def permute_ids(d: Diagram, seed: int = 0) -> Diagram:
@@ -441,4 +438,4 @@ def permute_ids(d: Diagram, seed: int = 0) -> Diagram:
                tuple(tuple(ep[ref] if ref > 0 else -ep[-ref] for ref in cyc)
                      for cyc in r.cycles))
         for r in d.regions.values()]
-    return _rebuild(d, vertices, edges, regions, d.name)
+    return Diagram(vertices, edges, regions, name=d.name)

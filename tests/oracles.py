@@ -86,6 +86,26 @@ def circle_edges(d: Diagram, curve: str, index: int) -> list[int]:
                   if e.curve == curve and e.index == index)
 
 
+def circle_order(d: Diagram) -> dict[tuple[str, int], list[int]]:
+    """Each circle's edges in traversal order (head feeds next tail)."""
+    out = {}
+    groups: dict[tuple[str, int], list[Edge]] = {}
+    for e in d.edges.values():
+        groups.setdefault((e.curve, e.index), []).append(e)
+    for key, group in groups.items():
+        out_at = {e.tail: e for e in group}
+        start = min(group, key=lambda e: e.id)
+        order = [start.id]
+        cur = start
+        while True:
+            cur = out_at[cur.head]
+            if cur.id == start.id:
+                break
+            order.append(cur.id)
+        out[key] = order
+    return out
+
+
 def edge_multiplicity(dom: Domain, edge_id: int) -> int:
     """Net multiplicity of the domain boundary along a directed edge."""
     pos, neg = dom.diagram.edge_sides[edge_id]
@@ -100,7 +120,7 @@ def edge_multiplicity(dom: Domain, edge_id: int) -> int:
 def curve_multiplicities(dom: Domain) -> dict[tuple[str, int], int]:
     """For a periodic domain: the whole-circle coefficient per curve."""
     out = {}
-    for (curve, index), order in dom.diagram.circle_order.items():
+    for (curve, index), order in circle_order(dom.diagram).items():
         if curve not in (ALPHA, BETA):
             continue
         vals = {edge_multiplicity(dom, e) for e in order}
@@ -711,7 +731,7 @@ def _relation_chains(d: Diagram) -> list[dict[int, int]]:
             for ref in cyc:
                 chain[abs(ref)] = chain.get(abs(ref), 0) + (1 if ref > 0 else -1)
         chains.append(chain)
-    for (curve, index), edges in sorted(d.circle_order.items()):
+    for (curve, index), edges in sorted(circle_order(d).items()):
         if curve == BD:
             continue
         chains.append({e: 1 for e in edges})
@@ -761,7 +781,7 @@ def _arc_chain(d: Diagram, curve: str, index: int, start: int, stop: int,
     # walk the circle from start to stop in its own direction
     if start == stop:
         return
-    order = d.circle_order[(curve, index)]
+    order = circle_order(d)[(curve, index)]
     out_at = {d.edges[e].tail: d.edges[e] for e in order}
     v = start
     for _ in range(len(order) + 1):

@@ -20,7 +20,7 @@ from sfh.diagram import (
     is_balanced,
 )
 
-from oracles import brute_force_generators, circle_edges
+from oracles import brute_force_generators, circle_edges, circle_order
 
 CORPUS = [
     build_example("product", [1, 1]),
@@ -195,7 +195,7 @@ def test_edge_sides_cover_usage():
 
 def test_circle_order_is_cyclic_cover():
     for d in CORPUS:
-        for (curve, index), verts in d.circle_order.items():
+        for (curve, index), verts in circle_order(d).items():
             edges = circle_edges(d, curve, index)
             assert len(verts) == len(edges)
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 import pytest
 
 from sfh.builders import build_example
-from sfh.diagram import (ALPHA, BD, BETA, CROSSING, Diagram, Edge, Region,
-                         Vertex, enumerate_generators)
+from sfh.diagram import (ALPHA, BD, BETA, CROSSING, Diagram, Edge,
+                         InvalidDiagramError, Region, Vertex, balance_report,
+                         enumerate_generators)
 from sfh.domains import h2_rank
 from sfh.homology import NotNiceError, sfh
 from sfh.moves import (ProductArc, cut_product_arc, delete_curve_pair,
@@ -247,3 +248,24 @@ def test_delete_refuses_to_close_the_surface():
     t.validate()
     with pytest.raises(ValueError, match="close off regions \\[1\\]"):
         delete_curve_pair(t, 1, 1)
+
+
+# -- validation at first use ----------------------------------------------------
+
+
+def test_moves_leave_validation_to_first_use():
+    # a move does not check its input or its output; a corrupted diagram
+    # passes through, and the first use of the result rejects it
+    d = build_example("torus_lens", [3])
+    broken = Diagram(d.vertices.values(), d.edges.values(),
+                     list(d.regions.values())[1:], name="dropped region")
+    for out in (permute_ids(broken, 5),
+                disjoint_union(broken, build_example("s1s2", [])),
+                disjoint_union(build_example("s1s2", []), broken),
+                insert_marker(broken, 1)):
+        with pytest.raises(InvalidDiagramError, match="used \\+1/-0 times"):
+            sfh(out)
+        with pytest.raises(InvalidDiagramError):
+            balance_report(out)
+        with pytest.raises(InvalidDiagramError):
+            out.defects

@@ -5,6 +5,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from sfh import ratlp
 
 
@@ -51,7 +53,7 @@ def test_simplex_matches_vertex_enumeration():
         n = rng.randrange(1, 4)
         rows = rng.randrange(1, 5)
         a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(rows)]
-        b = [rng.randrange(-3, 7) for _ in range(rows)]
+        b = [rng.randrange(0, 7) for _ in range(rows)]
         # box constraints guarantee boundedness and vertex existence
         for j in range(n):
             for sign in (1, -1):
@@ -61,25 +63,23 @@ def test_simplex_matches_vertex_enumeration():
                 b.append(5)
         c = [rng.randrange(-4, 5) for _ in range(n)]
         res = ratlp.maximize(c, a, b)
+        # b >= 0 holds x = 0, and the box bounds the set, so a vertex wins
         want = _oracle_max(c, a, b)
-        if want is None:
-            assert res.status == ratlp.INFEASIBLE
-        else:
-            assert res.status == ratlp.OPTIMAL
-            assert res.objective == want
-            # reported point is feasible and achieves the objective
-            assert all(
-                sum(Fraction(a[i][j]) * res.x[j] for j in range(n)) <= b[i]
-                for i in range(len(a)))
-            assert sum(Fraction(c[j]) * res.x[j] for j in range(n)) == want
-            # the duals certify optimality: y >= 0, y.a = c and y.b = objective
-            y = res.dual
-            assert len(y) == len(a) and all(v >= 0 for v in y)
-            assert all(sum(y[i] * a[i][j] for i in range(len(a))) == c[j]
-                       for j in range(n))
-            assert sum(v * bi for v, bi in zip(y, b)) == want
-            checked += 1
-    assert checked > 80
+        assert res.status == ratlp.OPTIMAL
+        assert res.objective == want
+        # reported point is feasible and achieves the objective
+        assert all(
+            sum(Fraction(a[i][j]) * res.x[j] for j in range(n)) <= b[i]
+            for i in range(len(a)))
+        assert sum(Fraction(c[j]) * res.x[j] for j in range(n)) == want
+        # the duals certify optimality: y >= 0, y.a = c and y.b = objective
+        y = res.dual
+        assert len(y) == len(a) and all(v >= 0 for v in y)
+        assert all(sum(y[i] * a[i][j] for i in range(len(a))) == c[j]
+                   for j in range(n))
+        assert sum(v * bi for v, bi in zip(y, b)) == want
+        checked += 1
+    assert checked == 150
 
 
 def test_unbounded_detected():
@@ -89,10 +89,10 @@ def test_unbounded_detected():
     assert res.status == ratlp.UNBOUNDED
 
 
-def test_infeasible_detected():
-    # x <= -1 and -x <= 0 cannot both hold
-    res = ratlp.maximize([1], [[1], [-1]], [-1, 0])
-    assert res.status == ratlp.INFEASIBLE
+def test_negative_rhs_rejected():
+    # the simplex starts at x = 0, so it takes only b >= 0
+    with pytest.raises(ValueError, match="b >= 0"):
+        ratlp.maximize([1], [[1], [-1]], [-1, 0])
 
 
 def test_exact_fractions():
