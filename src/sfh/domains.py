@@ -23,12 +23,16 @@ quotient q(z), S(z) floor divided by the diagonal, is formed the first time
 a pair needs it.
 
 An admissible diagram has an area form (Stiemke's lemma): positive integer
-region weights w under which periodic domains have area zero.  All domains
-from x to y then share the area A = w.D, so a nonnegative one has
-D_r <= A // w_r, which bounds an integer walk over the periodic basis.
-The walk's answer depends only on the coset, which the canonical connecting
-domain names, so each coset is walked once per diagram and its nonnegative
-domains are kept for every later pair that shares it.
+region weights w under which periodic domains have area zero.  When every
+periodic basis vector sums to 0, all-ones is one, and that certifies
+admissibility without a program; otherwise one exact LP decides it and its
+duals give the form.  All domains from x to y then share the area A = w.D,
+so a nonnegative one has 0 <= D_r <= A // w_r, which bounds an integer walk
+over the periodic basis; the walk bounds every row as soon as its choices
+make the row final, so it takes no step it would later reject.  The walk's
+answer depends only on the coset, which the canonical connecting domain
+names, so each coset is walked once per diagram and its nonnegative domains
+are kept for every later pair that shares it.
 """
 from __future__ import annotations
 
@@ -216,7 +220,9 @@ class DefectSystem:
         """v q(g), built on first use from the quotient q(g) of S(g) by the
         diagonal; for generators x and y with equal keys, particular(y) -
         particular(x) is a domain from x to y."""
-        pot = self._potential(g)
+        return self._particular(self._potential(g))
+
+    def _particular(self, pot: list) -> list[int]:
         if pot[2] is None:
             v = self.smith[2]
             n = len(v)
@@ -241,14 +247,20 @@ class DefectSystem:
 
     @cached_property
     def _program(self) -> ratlp.LPResult | None:
-        """max 1.Bt over 0 <= Bt <= 1 (B: periodic basis); 0 iff admissible."""
+        """max 1.Bt over 0 <= Bt <= 1 (B: periodic basis); 0 iff admissible.
+        None, and no LP, when every basis vector sums to 0 (so when there
+        are none): all-ones is then an area form, a positive w with w.P = 0
+        for every periodic P, which certifies admissibility and is the
+        area the program's duals would give.  The LP decides every other
+        lattice."""
         basis = self.periodic
-        if not basis:
+        sums = [sum(b.coeffs) for b in basis]
+        if not any(sums):
             return None
         bmat = list(zip(*(b.coeffs for b in basis)))
         a_ub = [[-v for v in row] for row in bmat] + bmat
         b_ub = [0] * len(bmat) + [1] * len(bmat)
-        res = ratlp.maximize([sum(b.coeffs) for b in basis], a_ub, b_ub)
+        res = ratlp.maximize(sums, a_ub, b_ub)
         assert res.status == ratlp.OPTIMAL  # box is bounded and contains 0
         return res
 
@@ -269,9 +281,12 @@ class DefectSystem:
 
     @cached_property
     def area(self) -> tuple[int, ...]:
-        """The area form of an admissible diagram.  At the program's optimum
-        0 its duals, nu for B t >= 0 and mu for B t <= 1, have mu = 0 and
-        B^T (1 + nu) = 0, so 1 + nu scaled to integers is one."""
+        """The area form of an admissible diagram.  All-ones when there is
+        no program, since every periodic basis vector then sums to 0 (with
+        c = 0 the program's duals would be 0 and give all-ones too).
+        Otherwise the LP decides: at its optimum 0 the duals, nu for B t >= 0
+        and mu for B t <= 1, have mu = 0 and B^T (1 + nu) = 0, so 1 + nu
+        scaled to integers is one."""
         res = self._program
         if res is None:
             return (1,) * len(self.diagram.interior_regions)
@@ -279,6 +294,19 @@ class DefectSystem:
         w = [1 + nu for nu in res.dual[:len(res.dual) // 2]]
         scale = math.lcm(*(v.denominator for v in w))
         return tuple(int(v * scale) for v in w)
+
+    @cached_property
+    def _echelon(self) -> list[tuple[int, int, list, list]]:
+        """Each periodic basis vector j as its lead row, its positive lead
+        entry, its nonzero (row, entry) pairs, and (row, entry) for each
+        later row that choosing t_j makes final in ``_walk``: the rows
+        before the next vector's lead, or up to the end."""
+        leads = self.leads
+        ends = [*leads[1:], len(self.diagram.interior_regions)]
+        return [(lead, b.coeffs[lead],
+                 [(r, c) for r, c in enumerate(b.coeffs) if c],
+                 [(r, b.coeffs[r]) for r in range(lead + 1, end)])
+                for b, lead, end in zip(self.periodic, leads, ends)]
 
     def nonnegative(self, base: Domain) -> tuple[Domain, ...]:
         """The nonnegative domains of base's coset, ordered by coefficients;
@@ -290,33 +318,55 @@ class DefectSystem:
         return found
 
     def _walk(self, base: tuple[int, ...]) -> tuple[Domain, ...]:
-        # D = base + sum t_j * basis_j >= 0.  Basis vector j starts at row
-        # leads[j], so rows cuts[j] up to cuts[j + 1] are final once t_0..t_j-1
-        # are chosen, and row leads[j] bounds t_j by 0 <= D_lead <= A // w_lead.
-        # Depth first, without recursion: each stack entry is a parent D,
-        # the basis vector its children add, the steps t not yet tried and
-        # the children's j; the root entry's one child is base itself.
-        basis, leads, w = self.periodic, self.leads, self.area
+        """The nonnegative D = base + sum t_j basis_j, sorted by coefficients.
+
+        Basis vector j starts at row leads[j], so rows leads[j] up to
+        leads[j + 1] - 1 (for the last vector, up to the end) are final once
+        t_0..t_j are chosen, and t_j is taken only from the interval that
+        keeps every one of them within [0, A // w_r]; rows above leads[0]
+        are base's.  So every step the walk takes is kept.
+        """
+        # depth first, without recursion: each stack entry is a partial D,
+        # the index of the basis vector its children add and the steps t
+        # not yet tried
+        basis, w = self.periodic, self.area
         area = sum(a * c for a, c in zip(w, base))
-        cuts = [0, *leads, len(w)]
+        caps = [area // v for v in w]
+        top = self.leads[0] if basis else len(base)
+        if any(not 0 <= base[r] <= caps[r] for r in range(top)):
+            return ()
+        if not basis:
+            return (Domain(self.diagram, base),)
+        echelon = self._echelon
+
+        def steps(cur: list[int], j: int) -> range:
+            lead, p, _, rest = echelon[j]
+            c = cur[lead]
+            lo, hi = -(c // p), (caps[lead] - c) // p
+            for r, k in rest:
+                c = cur[r]
+                if k > 0:
+                    lo, hi = max(lo, -(c // k)), min(hi, (caps[r] - c) // k)
+                elif k < 0:
+                    lo, hi = max(lo, -((caps[r] - c) // -k)), min(hi, c // -k)
+                elif not 0 <= c <= caps[r]:
+                    return range(0)
+            return range(lo, hi + 1)
+
+        last = len(basis) - 1
         out = []
-        stack = [(base, base, iter((0,)), 0)]
+        stack = [(base, 0, iter(steps(base, 0)))]
         while stack:
-            parent, vec, steps, j = stack[-1]
-            for t in steps:
-                cur = [a + t * b for a, b in zip(parent, vec)]
-                if any(c < 0 for c in cur[cuts[j]:cuts[j + 1]]):
-                    continue
-                if j == len(basis):
-                    out.append(Domain(self.diagram, cur))
-                    continue
-                child, lead = basis[j].coeffs, leads[j]
-                p = child[lead]  # positive in the echelon form
-                stack.append((cur, child, iter(range(
-                    -(cur[lead] // p), (area // w[lead] - cur[lead]) // p + 1)), j + 1))
-                break
-            else:
+            cur, j, ts = stack[-1]
+            t = next(ts, None)
+            if t is None:
                 stack.pop()
+                continue
+            nxt = [a + t * b for a, b in zip(cur, basis[j].coeffs)] if t else cur
+            if j == last:
+                out.append(Domain(self.diagram, nxt))
+            else:
+                stack.append((nxt, j + 1, iter(steps(nxt, j + 1))))
         out.sort(key=lambda dom: dom.coeffs)
         return tuple(out)
 
@@ -369,13 +419,15 @@ def connecting_domain(d: Diagram, x: Generator, y: Generator) -> Domain | None:
     always yield the same domain.
     """
     ds = d.defects
-    if ds.key(x) != ds.key(y):
+    px, py = ds._potential(x), ds._potential(y)
+    if px[0] != py[0]:
         return None
-    sol = [b - a for a, b in zip(ds.particular(x), ds.particular(y))]
-    for b, lead in zip(ds.periodic, ds.leads):
-        q = sol[lead] // b.coeffs[lead]
+    sol = [b - a for a, b in zip(ds._particular(px), ds._particular(py))]
+    for lead, p, terms, _ in ds._echelon:
+        q = sol[lead] // p
         if q:
-            sol = [s - q * c for s, c in zip(sol, b.coeffs)]
+            for i, c in terms:
+                sol[i] -= q * c
     return Domain(d, sol)
 
 

@@ -79,16 +79,18 @@ def boundary_matrix(d: Diagram, members: tuple[Generator, ...]) -> list[int]:
 
 
 def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
+    # one pivot row per leading bit: a row is reduced only by the pivots of
+    # the leading bits it takes on the way down
+    pivots: dict[int, int] = {}
     for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def verify_d_squared(d: Diagram, members: tuple[Generator, ...],
@@ -99,9 +101,11 @@ def verify_d_squared(d: Diagram, members: tuple[Generator, ...],
     n = len(members)
     for i in range(n):
         acc = 0
-        for j in range(n):
-            if rows[i] >> j & 1:
-                acc ^= rows[j]
+        bits = rows[i]
+        while bits:
+            low = bits & -bits
+            acc ^= rows[low.bit_length() - 1]
+            bits ^= low
         if acc:
             targets = [members[j] for j in range(n) if acc >> j & 1]
             lines = [f"d^2 is nonzero from {members[i]} to {targets}"]

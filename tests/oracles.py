@@ -10,18 +10,22 @@ potentials replaced; and the pairing invariant at the end reuses
 earlier forms of library code kept as references for the faster forms that
 replaced them: the dense, fully scanned Smith form, the per-crossing
 scans behind the defect rows and ``Diagram.crossing_curves``, validation
-with one walk of the region cycles per table, and each generator's class
-key and particular solution with the Smith diagonal rebuilt per generator.
+with one walk of the region cycles per table, each generator's class
+key and particular solution with the Smith diagonal rebuilt per generator,
+the coset walk that bounds only the lead row, the admissibility LP run on
+every periodic lattice, the GF(2) rank that reduces against the whole
+basis, and d^2 over every column.
 A few helpers that only tests call live here too.
 """
 from __future__ import annotations
 
 import itertools
 
-from sfh import intlinalg
+from sfh import intlinalg, ratlp
 from sfh.diagram import (ALPHA, BD, BETA, CROSSING, CURVE_KINDS, MARKER,
-                         VERTEX_KINDS, Corner, Diagram, Edge, Generator)
-from sfh.domains import Domain
+                         VERTEX_KINDS, Corner, Diagram, Edge, Generator,
+                         enumerate_generators)
+from sfh.domains import DefectSystem, Domain, connecting_domain
 
 
 def brute_force_generators(d: Diagram) -> list[Generator]:
@@ -130,6 +134,14 @@ def curve_multiplicities(dom: Domain) -> dict[tuple[str, int], int]:
                 "not a periodic domain")
         out[(curve, index)] = vals.pop()
     return out
+
+
+def coset_bases(d: Diagram) -> list[tuple[int, ...]]:
+    """The canonical connecting domains of every ordered generator pair,
+    one per periodic coset, in coefficient order."""
+    gens = enumerate_generators(d)
+    bases = {connecting_domain(d, x, y) for x in gens for y in gens}
+    return sorted(b.coeffs for b in bases if b is not None)
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -608,6 +620,47 @@ def brute_force_positive_domains(d: Diagram, x: Generator, y: Generator,
     return out
 
 
+def reference_walk(ds: DefectSystem,
+                   base: tuple[int, ...]) -> tuple[Domain, ...]:
+    """``DefectSystem._walk`` as it bounded only the lead row: t_j ranges
+    over the steps that keep row leads[j] within [0, A // w_lead], and a
+    step that leaves another newly final row negative is rejected."""
+    basis, leads, w = ds.periodic, ds.leads, ds.area
+    area = sum(a * c for a, c in zip(w, base))
+    cuts = [0, *leads, len(w)]
+    out = []
+    stack = [(base, base, iter((0,)), 0)]
+    while stack:
+        parent, vec, steps, j = stack[-1]
+        for t in steps:
+            cur = [a + t * b for a, b in zip(parent, vec)]
+            if any(c < 0 for c in cur[cuts[j]:cuts[j + 1]]):
+                continue
+            if j == len(basis):
+                out.append(Domain(ds.diagram, cur))
+                continue
+            child, lead = basis[j].coeffs, leads[j]
+            p = child[lead]
+            stack.append((cur, child, iter(range(
+                -(cur[lead] // p), (area // w[lead] - cur[lead]) // p + 1)), j + 1))
+            break
+        else:
+            stack.pop()
+    out.sort(key=lambda dom: dom.coeffs)
+    return tuple(out)
+
+
+def admissibility_program(ds: DefectSystem) -> ratlp.LPResult:
+    """The admissibility LP for every periodic lattice, as
+    ``DefectSystem._program`` built it before all-ones certified the
+    lattices whose basis sums vanish: max 1.Bt over 0 <= Bt <= 1."""
+    basis = ds.periodic
+    bmat = list(zip(*(b.coeffs for b in basis)))
+    a_ub = [[-v for v in row] for row in bmat] + bmat
+    b_ub = [0] * len(bmat) + [1] * len(bmat)
+    return ratlp.maximize([sum(b.coeffs) for b in basis], a_ub, b_ub)
+
+
 def oracle_rigid(d: Diagram, vec: tuple[int, ...], x: Generator,
                  y: Generator) -> int:
     """1 when the 0/1 vector is an embedded bigon or rectangle from x to y,
@@ -689,6 +742,36 @@ def brute_force_boundary_matrix(d: Diagram,
                 row |= 1 << j
         rows.append(row)
     return rows
+
+
+# -- GF(2) linear algebra -------------------------------------------------------
+
+
+def reference_gf2_rank(rows: list[int]) -> int:
+    """GF(2) rank by reducing each row against the whole sorted basis."""
+    rank = 0
+    basis: list[int] = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+            rank += 1
+    return rank
+
+
+def dense_square(rows: list[int]) -> list[int]:
+    """Row i of d^2 for the bitmask rows of d, over every column j."""
+    n = len(rows)
+    out = []
+    for i in range(n):
+        acc = 0
+        for j in range(n):
+            if rows[i] >> j & 1:
+                acc ^= rows[j]
+        out.append(acc)
+    return out
 
 
 # -- homological pairing invariant -------------------------------------------

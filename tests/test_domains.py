@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from sfh import intlinalg
+from sfh import intlinalg, ratlp
 from sfh.builders import BUILDERS, build_example
 from sfh.diagram import ALPHA, BETA, enumerate_generators
 from sfh.domains import (
@@ -26,10 +26,12 @@ from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
 from sfh.shd import parse, serialize
 from sfh.spinc import maslov_index
 
-from oracles import (brute_force_positive_domains, connects,
-                     curve_multiplicities, dense_potential, per_crossing_curves,
-                     per_crossing_defect_system, per_pair_connecting_domain)
-from test_homology import _nice_variants
+from oracles import (admissibility_program, brute_force_positive_domains,
+                     connects, coset_bases, curve_multiplicities,
+                     dense_potential, per_crossing_curves,
+                     per_crossing_defect_system, per_pair_connecting_domain,
+                     reference_walk)
+from test_homology import _count_calls, _nice_variants, _walk_variants
 from test_intlinalg import setup_diagrams
 
 
@@ -285,6 +287,39 @@ def test_inadmissible_witness():
         assert e.witness == witness
 
 
+def test_all_ones_certifies_where_the_basis_sums_vanish():
+    # no program is built there, and the program it stands for reaches 0
+    # with zero duals, so its area form would be all-ones as well
+    certified = 0
+    for d in itertools.chain(_area_variants(), _walk_variants()):
+        ds = d.defects
+        if not ds.periodic or any(sum(b.coeffs) for b in ds.periodic):
+            continue
+        assert ds._program is None and ds.admissibility == (True, None)
+        assert ds.area == (1,) * len(d.interior_regions), d.name
+        res = admissibility_program(ds)
+        assert res.status == ratlp.OPTIMAL and res.objective == 0, d.name
+        assert not any(res.dual), d.name
+        certified += 1
+    assert certified >= 76
+
+
+def test_the_program_decides_a_lattice_whose_sums_do_not_vanish(monkeypatch):
+    # (2, -1, 0, 0) and (0, 0, 1, -1) span an admissible lattice on which
+    # all-ones has area 1, so the LP and its dual read-out must find the form
+    lps = _count_calls(monkeypatch, ratlp, "maximize")
+    d = build_example("spheres", [3])
+    ds = d.defects
+    _, second = ds.periodic
+    ds.periodic = (Domain(d, (2, -1, 0, 0)), second)
+    assert ds.admissibility == (True, None)
+    w = ds.area
+    assert len(lps) == 1
+    assert all(isinstance(v, int) and v > 0 for v in w)
+    for p in ds.periodic:
+        assert sum(a * c for a, c in zip(w, p.coeffs)) == 0
+
+
 # -- positive connecting domains ---------------------------------------------
 
 
@@ -340,6 +375,8 @@ def test_positive_domains_under_a_nonuniform_area():
         for p in periodic_basis(d):
             assert sum(a * c for a, c in zip(w, p.coeffs)) == 0
         d.defects.area = tuple(w)
+        for base in coset_bases(d):
+            assert d.defects._walk(base) == reference_walk(d.defects, base)
         gens = enumerate_generators(d)
         for x in gens:
             for y in gens:

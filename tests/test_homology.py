@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
 from sfh.spinc import (grading_modulus, index_weights, maslov_index,
                        relative_gradings, spinc_partition)
 
-from oracles import (brute_force_boundary_matrix, oracle_rigid,
-                     per_pair_connecting_domain)
+from oracles import (brute_force_boundary_matrix, coset_bases, dense_square,
+                     oracle_rigid, per_pair_connecting_domain,
+                     reference_gf2_rank, reference_walk)
 
 NICE_CORPUS = [
     ("product", [1, 1]),
@@ -225,6 +227,55 @@ def test_verify_d_squared_rejects_broken_matrix():
     # hand it a matrix whose square is visibly nonzero
     with pytest.raises(RuntimeError, match="d\\^2 is nonzero"):
         verify_d_squared(d, cls.members, rows=[2, 1])
+    # seeded random rows over spheres(4)'s eight generators: the check raises
+    # exactly where the dense double loop finds a nonzero entry
+    d = build_example("spheres", [4])
+    (cls,) = spinc_partition(d)
+    members, n = cls.members, len(cls.members)
+    rng = random.Random(4)
+    raised = 0
+    for _ in range(300):
+        density = rng.choice((0.05, 0.15, 0.4))
+        rows = [sum(1 << j for j in range(n) if rng.random() < density)
+                for _ in range(n)]
+        square = dense_square(rows)
+        bad = next((i for i, acc in enumerate(square) if acc), None)
+        if bad is None:
+            verify_d_squared(d, members, rows=rows)  # must not raise
+            continue
+        targets = [members[j] for j in range(n) if square[bad] >> j & 1]
+        with pytest.raises(RuntimeError) as exc:
+            verify_d_squared(d, members, rows=rows)
+        first = str(exc.value).split("; ")[0]
+        assert first == f"d^2 is nonzero from {members[bad]} to {targets}"
+        raised += 1
+    assert raised == 250  # and 50 square to zero
+
+
+def test_gf2_rank_matches_the_full_basis_reduction():
+    rng = random.Random(10)
+    for _ in range(2000):
+        width, count = rng.randint(1, 40), rng.randint(0, 30)
+        density = rng.choice((0.05, 0.2, 0.5))
+        rows = [sum(1 << j for j in range(width) if rng.random() < density)
+                for _ in range(count)]
+        for _ in range(rng.randint(0, 3)):  # plant dependent rows
+            if rows:
+                rows.append(rng.choice(rows) ^ rng.choice(rows))
+        rng.shuffle(rows)
+        assert homology._gf2_rank(rows) == reference_gf2_rank(rows), rows
+    # every grading of every class, as class_homology groups the rows
+    for d in _walk_variants():
+        for cls in spinc_partition(d):
+            rows = boundary_matrix(d, cls.members)
+            gradings = relative_gradings(
+                d, cls.members, grading_modulus(d, min(cls.members)))
+            groups: dict[int, list[int]] = {}
+            for g, row in zip(cls.members, rows):
+                groups.setdefault(gradings[g], []).append(row)
+            for group in [rows, *groups.values()]:
+                assert (homology._gf2_rank(group)
+                        == reference_gf2_rank(group)), d.name
 
 
 # -- class homology and sfh -------------------------------------------------------
@@ -329,15 +380,26 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
     smith = _count_calls(monkeypatch, intlinalg, "smith_normal_form")
     lps = _count_calls(monkeypatch, ratlp, "maximize")
     products = _count_calls(monkeypatch, intlinalg, "mat_vec")
-    # one admissibility program per diagram with periodic domains, and
-    # none for the positive-domain searches
-    for d, programs in ((spheres, 1), (lens, 0), (union, 1)):
+    # no admissibility program where every periodic basis vector sums to 0
+    # (all-ones is then an area form), and none for the positive-domain
+    # searches
+    for d, programs in ((spheres, 0), (lens, 0), (union, 0)):
         smith.clear()
         lps.clear()
         sfh(d)
         assert (len(smith), len(lps)) == (1, programs)
         sfh(d)  # the same diagram object keeps its factorization
         assert (len(smith), len(lps)) == (1, programs)
+    # any other lattice gets exactly one program, which finds the witness
+    disjoint = build_example("s1s2_disjoint")
+    smith.clear()
+    lps.clear()
+    for _ in range(2):
+        with pytest.raises(NotAdmissibleError) as exc:
+            sfh(disjoint)
+        assert exc.value.witness.is_nonnegative()
+        assert not exc.value.witness.is_zero()
+        assert (len(smith), len(lps)) == (1, 1)
     # at most one particular solution per generator, counted on fresh
     # diagrams; the lens classes are singletons, so no key ever matches
     # another and no generator needs one
@@ -372,6 +434,30 @@ def test_sfh_walks_each_coset_once(monkeypatch):
         assert len(walks) == len(bases) == walked, d.name
         assert len(searches) == searched, d.name
         assert not checked, d.name
+
+
+def _walk_variants():
+    yield from _nice_variants()
+    families = [build_example("spheres", [n]) for n in range(2, 7)]
+    families += [disjoint_union(build_example("lens_knot", [k]),
+                                build_example("spheres", [n]))
+                 for k in range(2, 7) for n in (3, 4)]
+    for d in families:
+        yield d
+        yield permute_ids(d, 5)
+        yield permute_ids(d, 1250219996)
+
+
+def test_walk_matches_the_lead_row_walk():
+    # the walk that bounds every final row returns, domain by domain and in
+    # order, what the walk that bounds only the lead row found
+    walked = 0
+    for d in _walk_variants():
+        ds = d.defects
+        for base in coset_bases(d):
+            assert ds._walk(base) == reference_walk(ds, base), (d.name, base)
+            walked += 1
+    assert walked >= 1756
 
 
 def test_cli_compute_factors_the_defect_matrix_once(monkeypatch, capsys):
