@@ -18,8 +18,7 @@ from .homology import (NotNiceError, SFHResult, boundary_matrix, is_nice,
 from .moves import (ProductArc, cut_product_arc, delete_curve_pair,
                     disjoint_union, insert_marker, permute_ids, stabilize)
 from .shd import ParseError, digest, load, parse, save, serialize
-from .spinc import (grading_modulus, maslov_index, relative_gradings,
-                    spinc_partition)
+from .spinc import grading_modulus, relative_gradings, spinc_partition
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,7 @@ __all__ = [
     "delete_curve_pair", "digest", "disjoint_union", "enumerate_generators",
     "grading_modulus", "h2_rank",
     "insert_marker", "is_admissible", "is_balanced", "is_nice", "load",
-    "maslov_index", "niceness_report", "parse", "periodic_basis",
+    "niceness_report", "parse", "periodic_basis",
     "permute_ids", "positive_connecting_domains", "relative_gradings",
     "require_admissible", "require_nice", "save", "serialize",
     "sfh", "spinc_partition", "stabilize", "verify_d_squared",

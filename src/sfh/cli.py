@@ -63,9 +63,7 @@ def _load(path: str) -> Diagram:
     try:
         d = shd.parse(text)
         d.validate()
-    except shd.ParseError as exc:
-        raise _fail(EXIT_INVALID, str(exc))
-    except InvalidDiagramError as exc:
+    except (shd.ParseError, InvalidDiagramError) as exc:
         raise _fail(EXIT_INVALID, str(exc))
     return d
 

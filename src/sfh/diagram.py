@@ -218,32 +218,19 @@ class Diagram:
         if errs:
             return errs
 
-        # each (curve, index) pair is one closed circle
-        groups: dict[tuple[str, int], list[Edge]] = {}
+        # each (curve, index) pair is one closed circle.  Incidence has
+        # passed, so each vertex of a circle has one of its edges arriving
+        # and one leaving: the edges leaving their tails are all of them,
+        # and following them from any edge comes back round to it
+        groups: dict[tuple[str, int], dict[int, Edge]] = {}
         for e in edges.values():
-            groups.setdefault((e.curve, e.index), []).append(e)
-        for (curve, index), group in sorted(groups.items()):
-            out_at = {}
-            for e in group:
-                if e.tail in out_at:
-                    errs.append(f"circle {curve}({index}) branches at vertex {e.tail}")
-                out_at[e.tail] = e
-            heads = sorted(e.head for e in group)
-            if heads != sorted(e.tail for e in group):
-                errs.append(f"circle {curve}({index}) does not close up")
-                continue
-            start = group[0]
-            seen = {start.id}
-            cur = start
-            while True:
-                nxt = out_at.get(cur.head)
-                if nxt is None or (nxt.id in seen and nxt.id != start.id):
-                    break
-                if nxt.id == start.id:
-                    break
-                seen.add(nxt.id)
-                cur = nxt
-            if len(seen) != len(group):
+            groups.setdefault((e.curve, e.index), {})[e.tail] = e
+        for (curve, index), out_at in sorted(groups.items()):
+            start = cur = next(iter(out_at.values()))
+            steps = 1
+            while (cur := out_at[cur.head]) is not start:
+                steps += 1
+            if steps != len(out_at):
                 errs.append(f"circle {curve}({index}) is not a single closed loop")
         if errs:
             return errs
@@ -376,19 +363,6 @@ class Diagram:
     def corners_by_vertex(self) -> dict[int, tuple[Corner, ...]]:
         """vertex id -> the corners at it, in region and cycle order."""
         return self._checked("corners_by_vertex")
-
-    @cached_property
-    def quadrants(self) -> dict[int, tuple[Corner, ...]]:
-        """The four corners at each crossing, in cyclic quadrant order."""
-        out = {}
-        for v in self.crossings:
-            cs = self.corners_by_vertex[v]
-            succ = {c.end_in: c for c in cs}
-            ordered = [cs[0]]
-            while len(ordered) < 4:
-                ordered.append(succ[ordered[-1].end_out])
-            out[v] = tuple(ordered)
-        return out
 
     @cached_property
     def edge_sides(self) -> dict[int, tuple[int | None, int | None]]:

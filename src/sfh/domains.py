@@ -146,7 +146,8 @@ class DefectSystem:
         col = {r: i for i, r in enumerate(order)}
         self.euler = [4 * d.regions[r].euler() - d.crossing_corner_count[r]
                       for r in order]
-        self.quads = {v: [col[c.region] for c in d.quadrants[v] if c.region in col]
+        self.quads = {v: [col[c.region] for c in d.corners_by_vertex[v]
+                          if c.region in col]
                       for v in d.crossings}
         # one pass over the edges: an alpha or beta edge adds its flanking
         # regions' columns to its head's row and subtracts them from its
@@ -212,17 +213,11 @@ class DefectSystem:
             self._potentials[g] = pot
         return pot
 
-    def key(self, g: Generator) -> tuple:
-        """Generator g's class key: equal keys, and only those, connect."""
-        return self._potential(g)[0]
-
-    def particular(self, g: Generator) -> list[int]:
-        """v q(g), built on first use from the quotient q(g) of S(g) by the
-        diagonal; for generators x and y with equal keys, particular(y) -
-        particular(x) is a domain from x to y."""
-        return self._particular(self._potential(g))
-
     def _particular(self, pot: list) -> list[int]:
+        """v q(g) for g's potential pot, built on first use from the
+        quotient q(g) of S(g) by the diagonal; for generators x and y with
+        equal keys, the particular solution of y minus that of x is a
+        domain from x to y."""
         if pot[2] is None:
             v = self.smith[2]
             n = len(v)
@@ -238,12 +233,6 @@ class DefectSystem:
             return ()
         return tuple(Domain(self.diagram, vec)
                      for vec in intlinalg.kernel_basis(self.smith))
-
-    @cached_property
-    def leads(self) -> tuple[int, ...]:
-        """Each periodic basis vector's leading (first nonzero) row."""
-        return tuple(next(i for i, c in enumerate(b.coeffs) if c)
-                     for b in self.periodic)
 
     @cached_property
     def _program(self) -> ratlp.LPResult | None:
@@ -297,16 +286,17 @@ class DefectSystem:
 
     @cached_property
     def _echelon(self) -> list[tuple[int, int, list, list]]:
-        """Each periodic basis vector j as its lead row, its positive lead
-        entry, its nonzero (row, entry) pairs, and (row, entry) for each
-        later row that choosing t_j makes final in ``_walk``: the rows
-        before the next vector's lead, or up to the end."""
-        leads = self.leads
+        """Each periodic basis vector j as its lead (first nonzero) row,
+        its positive lead entry, its nonzero (row, entry) pairs, and (row,
+        entry) for each later row that choosing t_j makes final in
+        ``_walk``: the rows before the next vector's lead, or up to the
+        end."""
+        basis = [b.coeffs for b in self.periodic]
+        leads = [next(i for i, c in enumerate(b) if c) for b in basis]
         ends = [*leads[1:], len(self.diagram.interior_regions)]
-        return [(lead, b.coeffs[lead],
-                 [(r, c) for r, c in enumerate(b.coeffs) if c],
-                 [(r, b.coeffs[r]) for r in range(lead + 1, end)])
-                for b, lead, end in zip(self.periodic, leads, ends)]
+        return [(lead, b[lead], [(r, c) for r, c in enumerate(b) if c],
+                 [(r, b[r]) for r in range(lead + 1, end)])
+                for b, lead, end in zip(basis, leads, ends)]
 
     def nonnegative(self, base: Domain) -> tuple[Domain, ...]:
         """The nonnegative domains of base's coset, ordered by coefficients;
@@ -320,24 +310,24 @@ class DefectSystem:
     def _walk(self, base: tuple[int, ...]) -> tuple[Domain, ...]:
         """The nonnegative D = base + sum t_j basis_j, sorted by coefficients.
 
-        Basis vector j starts at row leads[j], so rows leads[j] up to
-        leads[j + 1] - 1 (for the last vector, up to the end) are final once
-        t_0..t_j are chosen, and t_j is taken only from the interval that
-        keeps every one of them within [0, A // w_r]; rows above leads[0]
-        are base's.  So every step the walk takes is kept.
+        Basis vector j starts at its lead row, so the rows from there up to
+        the next vector's lead (for the last vector, up to the end) are
+        final once t_0..t_j are chosen, and t_j is taken only from the
+        interval that keeps every one of them within [0, A // w_r]; rows
+        above the first lead are base's.  So every step the walk takes is
+        kept.
         """
         # depth first, without recursion: each stack entry is a partial D,
         # the index of the basis vector its children add and the steps t
         # not yet tried
-        basis, w = self.periodic, self.area
+        basis, w, echelon = self.periodic, self.area, self._echelon
         area = sum(a * c for a, c in zip(w, base))
         caps = [area // v for v in w]
-        top = self.leads[0] if basis else len(base)
+        top = echelon[0][0] if basis else len(base)
         if any(not 0 <= base[r] <= caps[r] for r in range(top)):
             return ()
         if not basis:
             return (Domain(self.diagram, base),)
-        echelon = self._echelon
 
         def steps(cur: list[int], j: int) -> range:
             lead, p, _, rest = echelon[j]
@@ -382,16 +372,6 @@ def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:
     return d.defects.rows, d.defects.labels
 
 
-def defect_rhs(d: Diagram, x: Generator, y: Generator) -> list[int]:
-    xs, ys = set(x), set(y)
-    rhs = []
-    for v in d.crossings:
-        alpha_val = (1 if v in ys else 0) - (1 if v in xs else 0)
-        rhs.append(alpha_val)
-        rhs.append(-alpha_val)
-    return rhs
-
-
 def _check_generator(d: Diagram, g: Generator) -> None:
     crossings = set(d.crossings)
     if not set(g) <= crossings:
@@ -413,7 +393,7 @@ def connecting_domain(d: Diagram, x: Generator, y: Generator) -> Domain | None:
 
     The pair is connected exactly when the two generators' class keys agree,
     and then the difference of their particular solutions is one domain
-    from x to y (see ``DefectSystem.key`` and ``.particular``).  The
+    from x to y (see ``DefectSystem._potential`` and ``._particular``).  The
     solution set is a coset of the periodic lattice; the returned
     representative is normalized against the echelon basis, so equal cosets
     always yield the same domain.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .diagram import Diagram, Generator, NotBalancedError, balance_report
 from .domains import h2_rank, positive_connecting_domains, require_admissible
-from .spinc import (SpincClass, grading_modulus, index_weights, maslov_index,
+from .spinc import (SpincClass, _index, grading_modulus, index_weights,
                     relative_gradings, spinc_partition)
 
 
@@ -61,7 +61,8 @@ def boundary_matrix(d: Diagram, members: tuple[Generator, ...]) -> list[int]:
     is an empty embedded bigon or rectangle with exactly one holomorphic
     representative (Sarkar-Wang, Thm 3.3), so counting the domains counts
     the discs.  A domain has index 1 when w.D = 4 for the pair's
-    ``index_weights`` w.
+    ``index_weights`` w, built only for pairs that have a nonnegative
+    domain.
     """
     rows = []
     for x in members:
@@ -69,8 +70,11 @@ def boundary_matrix(d: Diagram, members: tuple[Generator, ...]) -> list[int]:
         for j, y in enumerate(members):
             if x == y:
                 continue
+            doms = positive_connecting_domains(d, x, y)
+            if not doms:
+                continue
             w = index_weights(d, x, y)
-            count = sum(1 for dom in positive_connecting_domains(d, x, y)
+            count = sum(1 for dom in doms
                         if sum(a * c for a, c in zip(w, dom.coeffs)) == 4)
             if count % 2:
                 row |= 1 << j
@@ -110,8 +114,9 @@ def verify_d_squared(d: Diagram, members: tuple[Generator, ...],
             targets = [members[j] for j in range(n) if acc >> j & 1]
             lines = [f"d^2 is nonzero from {members[i]} to {targets}"]
             for z in targets:
+                w = index_weights(d, members[i], z)
                 for dom in positive_connecting_domains(d, members[i], z):
-                    if maslov_index(d, dom, members[i], z) == 2:
+                    if _index(w, dom) == 2:
                         lines.append(f"  index-2 domain: {dom.describe()}")
             raise RuntimeError("; ".join(lines))
 

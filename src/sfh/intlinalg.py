@@ -8,6 +8,8 @@ routines are written for clarity.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -127,29 +129,22 @@ def kernel_basis(snf) -> list[list[int]]:
     _, s, v = snf
     m, n = len(s), len(v)
     r = sum(1 for i in range(min(m, n)) if s[i][i] != 0)
-    cols = []
-    for j in range(r, n):
-        cols.append([v[i][j] for i in range(n)])
-    return hermite_columns([list(c) for c in zip(*cols)]) if cols else []
+    return hermite_columns([row[j] for row in v] for j in range(r, n))
 
 
-def hermite_columns(bmat: list[list[int]]) -> list[list[int]]:
-    """Column Hermite form of the column lattice spanned by bmat.
+def hermite_columns(vectors: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Column Hermite form of the lattice spanned by the given vectors.
 
-    bmat is n x k (columns are generators).  Returns the nonzero columns as
-    vectors, each with positive leading (topmost nonzero) entry, echeloned
-    by leading row.  Column operations only, so the lattice is unchanged.
+    Returns the nonzero columns as new lists, each with positive leading
+    (topmost nonzero) entry, echeloned by leading row.  Column operations
+    only, so the lattice is unchanged.
     """
-    n = len(bmat)
-    k = len(bmat[0]) if n else 0
-    cols = [[bmat[i][j] for i in range(n)] for j in range(k)]
+    cols = [list(c) for c in vectors]
+    n = len(cols[0]) if cols else 0
     done = []
-    row = 0
-    while row < n and cols:
-        live = [c for c in cols if c[row] != 0]
-        if not live:
-            row += 1
-            continue
+    for row in range(n):
+        if not cols:
+            break
         # gcd-reduce all columns with a nonzero entry in this row into one
         while True:
             live = [c for c in cols if c[row] != 0]
@@ -161,16 +156,11 @@ def hermite_columns(bmat: list[list[int]]) -> list[list[int]]:
                 q = c[row] // base[row]
                 for i in range(n):
                     c[i] -= q * base[i]
-        lead = [c for c in cols if c[row] != 0]
-        if lead:
-            c = lead[0]
+        if live:
+            c = live[0]
             if c[row] < 0:
                 for i in range(n):
                     c[i] = -c[i]
-            # reduce previously finished columns? not needed for our use;
-            # echelon structure (distinct leading rows) is what callers rely on
             done.append(c)
             cols.remove(c)
-        row += 1
     return done
-

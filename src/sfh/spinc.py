@@ -6,10 +6,10 @@ from the Maslov index, and the grading is exact modulo the gcd of Maslov
 indices of periodic domains.  The index is summed in integer quarters:
 ``index_weights(d, x, y)`` gives region weights w with w.D = 4 mu(D) for
 every domain D from x to y, so one pair's weights serve all its domains.
-Gradings and the modulus sum those weights directly, over domains that
-connect their pair by construction (``connecting_domain`` and the periodic
-basis); ``maslov_index`` is the checked public path, which first verifies
-that its domain connects x to y.
+Every caller sums those weights directly, over domains that connect their
+pair by construction (``connecting_domain``, the periodic basis and the
+nonnegative domains of a pair), so no index is computed for a domain that
+might not connect its pair.
 
 The class partition has an independent homological description: connect y
 to x by arcs along the alpha circles and back along the beta circles; the
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .diagram import Diagram, Generator, enumerate_generators
-from .domains import Domain, connecting_domain, defect_rhs
+from .domains import Domain, connecting_domain
 
 
 @dataclass(frozen=True)
@@ -61,17 +61,6 @@ def index_weights(d: Diagram, x: Generator, y: Generator) -> list[int]:
         for i in quads[v]:
             w[i] += 1
     return w
-
-
-def maslov_index(d: Diagram, dom: Domain, x: Generator,
-                 y: Generator) -> int | None:
-    """Index of a domain from x to y: Euler measure plus the two point
-    measures.  None when the domain does not connect x to y."""
-    rhs = defect_rhs(d, x, y)
-    for row, want in zip(d.defects.rows, rhs):
-        if sum(a * c for a, c in zip(row, dom.coeffs)) != want:
-            return None
-    return _index(index_weights(d, x, y), dom)
 
 
 def _index(w: list[int], dom: Domain) -> int:

@@ -14,8 +14,12 @@ with one walk of the region cycles per table, each generator's class
 key and particular solution with the Smith diagonal rebuilt per generator,
 the coset walk that bounds only the lead row, the admissibility LP run on
 every periodic lattice, the GF(2) rank that reduces against the whole
-basis, and d^2 over every column.
-A few helpers that only tests call live here too.
+basis, and d^2 over every column.  The Maslov index checked against the
+defect rows (``maslov_index`` with ``defect_rhs``) is the reference for
+the library's unchecked quarter-index sums, which take only domains that
+connect their pair.
+A few helpers that only tests call live here too, among them the corners
+at each crossing in cyclic order (``quadrants``).
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from sfh.diagram import (ALPHA, BD, BETA, CROSSING, CURVE_KINDS, MARKER,
                          VERTEX_KINDS, Corner, Diagram, Edge, Generator,
                          enumerate_generators)
 from sfh.domains import DefectSystem, Domain, connecting_domain
+from sfh.spinc import _index, index_weights
 
 
 def brute_force_generators(d: Diagram) -> list[Generator]:
@@ -133,6 +138,19 @@ def curve_multiplicities(dom: Domain) -> dict[tuple[str, int], int]:
                 f"multiplicity is not constant along {curve}({index}); "
                 "not a periodic domain")
         out[(curve, index)] = vals.pop()
+    return out
+
+
+def quadrants(d: Diagram) -> dict[int, tuple[Corner, ...]]:
+    """The four corners at each crossing, in cyclic quadrant order."""
+    out = {}
+    for v in d.crossings:
+        cs = d.corners_by_vertex[v]
+        succ = {c.end_in: c for c in cs}
+        ordered = [cs[0]]
+        while len(ordered) < 4:
+            ordered.append(succ[ordered[-1].end_out])
+        out[v] = tuple(ordered)
     return out
 
 
@@ -540,6 +558,32 @@ def validation_errors(d: Diagram) -> list[str]:
     return errs
 
 
+# -- the checked Maslov index ---------------------------------------------------
+
+
+def defect_rhs(d: Diagram, x: Generator, y: Generator) -> list[int]:
+    """The defect rows' right-hand side for domains from x to y, in the
+    order of ``DefectSystem.labels``."""
+    xs, ys = set(x), set(y)
+    rhs = []
+    for v in d.crossings:
+        alpha_val = (1 if v in ys else 0) - (1 if v in xs else 0)
+        rhs.append(alpha_val)
+        rhs.append(-alpha_val)
+    return rhs
+
+
+def maslov_index(d: Diagram, dom: Domain, x: Generator,
+                 y: Generator) -> int | None:
+    """Index of a domain from x to y: Euler measure plus the two point
+    measures.  None when the domain does not connect x to y."""
+    rhs = defect_rhs(d, x, y)
+    for row, want in zip(d.defects.rows, rhs):
+        if sum(a * c for a, c in zip(row, dom.coeffs)) != want:
+            return None
+    return _index(index_weights(d, x, y), dom)
+
+
 # -- connecting domains by a per-pair Smith solve ------------------------------
 
 
@@ -625,7 +669,8 @@ def reference_walk(ds: DefectSystem,
     """``DefectSystem._walk`` as it bounded only the lead row: t_j ranges
     over the steps that keep row leads[j] within [0, A // w_lead], and a
     step that leaves another newly final row negative is rejected."""
-    basis, leads, w = ds.periodic, ds.leads, ds.area
+    basis, w = ds.periodic, ds.area
+    leads = [next(i for i, c in enumerate(b.coeffs) if c) for b in basis]
     area = sum(a * c for a, c in zip(w, base))
     cuts = [0, *leads, len(w)]
     out = []
@@ -707,8 +752,9 @@ def oracle_rigid(d: Diagram, vec: tuple[int, ...], x: Generator,
 
     # quadrant census at every crossing
     inside = set(support)
+    cyclic = quadrants(d)
     for v in d.crossings:
-        quads = [c.region in inside for c in d.quadrants[v]]
+        quads = [c.region in inside for c in cyclic[v]]
         q = sum(quads)
         if v in moved:
             if q != 1:

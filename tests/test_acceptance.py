@@ -24,9 +24,10 @@ from sfh.domains import (Domain, NotAdmissibleError, admissibility,
 from sfh.homology import (NotNiceError, boundary_matrix, is_nice, sfh,
                           verify_d_squared)
 from sfh.moves import ProductArc, cut_product_arc, delete_curve_pair, stabilize
-from sfh.spinc import grading_modulus, maslov_index, spinc_partition
+from sfh.spinc import grading_modulus, spinc_partition
 
-from oracles import brute_force_boundary_matrix, brute_force_positive_domains
+from oracles import (brute_force_boundary_matrix, brute_force_positive_domains,
+                     maslov_index)
 
 
 def corpus() -> list[Diagram]:

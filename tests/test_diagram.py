@@ -20,7 +20,8 @@ from sfh.diagram import (
     is_balanced,
 )
 
-from oracles import brute_force_generators, circle_edges, circle_order
+from oracles import (brute_force_generators, circle_edges, circle_order,
+                     quadrants)
 
 CORPUS = [
     build_example("product", [1, 1]),
@@ -175,8 +176,9 @@ def test_valid_corpus_validates():
 
 def test_quadrants_and_corners():
     for d in CORPUS:
+        quads = quadrants(d)
         for v in d.crossings:
-            assert len(d.quadrants[v]) == 4
+            assert len(quads[v]) == 4
         for v in d.markers:
             on_bd = any(e.curve == BD and v in (e.tail, e.head)
                         for e in d.edges.values())

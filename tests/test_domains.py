@@ -14,7 +14,6 @@ from sfh.domains import (
     NotAdmissibleError,
     admissibility,
     connecting_domain,
-    defect_rhs,
     defect_system,
     h2_rank,
     is_admissible,
@@ -24,11 +23,10 @@ from sfh.domains import (
 )
 from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
 from sfh.shd import parse, serialize
-from sfh.spinc import maslov_index
 
 from oracles import (admissibility_program, brute_force_positive_domains,
-                     connects, coset_bases, curve_multiplicities,
-                     dense_potential, per_crossing_curves,
+                     connects, coset_bases, curve_multiplicities, defect_rhs,
+                     dense_potential, maslov_index, per_crossing_curves,
                      per_crossing_defect_system, per_pair_connecting_domain,
                      reference_walk)
 from test_homology import _count_calls, _nice_variants, _walk_variants
@@ -216,7 +214,8 @@ def test_potentials_match_the_dense_per_generator_oracle():
     for d in setup_diagrams():
         ds = d.defects
         for g in enumerate_generators(d):
-            assert (ds.key(g), ds.particular(g)) == dense_potential(d, g), (d.name, g)
+            pot = ds._potential(g)
+            assert (pot[0], ds._particular(pot)) == dense_potential(d, g), (d.name, g)
         count += 1
     assert count == 138
 

