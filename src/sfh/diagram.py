@@ -387,7 +387,7 @@ class Diagram:
     @cached_property
     def defects(self):
         """The diagram's ``sfh.domains.DefectSystem``: the defect matrix,
-        its Smith factorization, periodic basis and admissibility verdict."""
+        its Hermite factorization, periodic basis and admissibility verdict."""
         from .domains import DefectSystem  # domains builds on this module
         return DefectSystem(self)
 

@@ -12,15 +12,17 @@ domains are the kernel.  Sign convention, fixed once and used everywhere:
 the alpha part of the boundary runs from x to y (each alpha circle picks up
 y minus x) and the beta part runs back (x minus y).
 
-The right-hand side is additive (Ozsvath-Szabo, math/0101206, 2.4): with
-u a v = s the Smith factorization, u rhs(x, y) = S(y) - S(x), where S(z)
-sums the per-crossing images over the points of z.  So each generator z has
-a potential, computed once: S(z) and its class key, S(z) reduced modulo the
-Smith diagonal at the diagonal's non-unit positions (exact where it is 0),
-which are read once per diagram.  x and y are connected exactly when their
-keys agree, and then v q(y) - v q(x) solves the pair's system, where the
-quotient q(z), S(z) floor divided by the diagonal, is formed the first time
-a pair needs it.
+The right-hand side is additive (Ozsvath-Szabo, math/0101206, 2.4):
+rhs(x, y) = R(y) - R(x), where R(z) is +1 at the alpha row and -1 at the
+beta row of each point of z.  With a u = h the column Hermite
+factorization of the defect matrix, each generator z has a potential,
+computed once: R(z) reduced against h's pivots in row order, each step
+taking the floor quotient at the pivot's row, leaves coefficients c(z) and
+a residue R(z) - h c(z), the class key.  h is in column echelon form, so
+the residue is the same for every vector of one coset of its column
+lattice, which is a's: x and y are connected exactly when their keys
+agree, and then u c(y) - u c(x) solves the pair's system, formed the first
+time a pair needs it.
 
 An admissible diagram has an area form (Stiemke's lemma): positive integer
 region weights w under which periodic domains have area zero.  When every
@@ -123,14 +125,13 @@ class Domain:
 
 
 class DefectSystem:
-    """One diagram's defect matrix and what derives from it: the Smith
-    factorization, the per-crossing images of right-hand sides, each
-    generator's potential, the echelon periodic basis, the admissibility
-    verdict, the area form and each coset's nonnegative domains, each built
-    at most once, on first use.  euler and quads give four times the Maslov
-    index in integers: 4 e(r) minus its crossing corners per interior region
-    r, and per crossing the columns of its interior quadrants (combined per
-    pair by ``spinc.index_weights``).
+    """One diagram's defect matrix and what derives from it: the column
+    Hermite factorization, each generator's potential, the echelon periodic
+    basis, the admissibility verdict, the area form and each coset's
+    nonnegative domains, each built at most once, on first use.  euler and
+    quads give four times the Maslov index in integers: 4 e(r) minus its
+    crossing corners per interior region r, and per crossing the columns of
+    its interior quadrants (combined per pair by ``spinc.index_weights``).
     The diagram holds this object as ``Diagram.defects``; rows and labels
     are described at ``defect_system``.  Everything here is shared and must
     not be modified.
@@ -138,7 +139,8 @@ class DefectSystem:
 
     def __init__(self, d: Diagram):
         self.diagram = d
-        # generator -> [class key, S(g), v q(g) or None until needed]
+        # generator -> [class key, c(g) as (pivot, coefficient) pairs,
+        # u c(g) or None until needed]
         self._potentials: dict[tuple[int, ...], list] = {}
         # canonical base coefficients -> the coset's nonnegative domains
         self._cosets: dict[tuple[int, ...], tuple[Domain, ...]] = {}
@@ -154,6 +156,7 @@ class DefectSystem:
         # tail's (a loop's two ends cancel)
         self.labels = [(v, curve) for v in d.crossings for curve in (ALPHA, BETA)]
         at = {label: i for i, label in enumerate(self.labels)}
+        self._alpha_row = {v: 2 * i for i, v in enumerate(d.crossings)}
         self.rows = [[0] * len(order) for _ in self.labels]
         for e in d.edges.values():
             pos, neg = d.edge_sides[e.id]
@@ -168,31 +171,11 @@ class DefectSystem:
                     row[col[neg]] -= sign
 
     @cached_property
-    def smith(self):
-        """smith_normal_form of the rows; a zero row stands in for none.
-        Only built for diagrams with interior regions."""
-        n = len(self.diagram.interior_regions)
-        return intlinalg.smith_normal_form(self.rows or [[0] * n])
-
-    @cached_property
-    def images(self) -> dict[int, list[int]]:
-        """u (alpha unit - beta unit) per crossing, for u from ``smith``.
-        The right-hand side from x to y adds that column for each point of
-        y not in x and subtracts it for each point of x not in y, so its
-        image under u is the same sum of images."""
-        u = self.smith[0]
-        return {v: [row[2 * i] - row[2 * i + 1] for row in u]
-                for i, v in enumerate(self.diagram.crossings)}
-
-    @cached_property
-    def diagonal(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """The Smith diagonal, one entry per row (0 past the last column),
-        and its non-unit (position, entry) pairs: a unit entry reduces every
-        total to 0, so only these positions enter a class key."""
-        _, s, v = self.smith
-        n = len(v)
-        diag = [s[i][i] if i < n else 0 for i in range(len(s))]
-        return diag, [(i, e) for i, e in enumerate(diag) if e != 1]
+    def hermite(self) -> tuple[list[intlinalg.Pivot], list[dict[int, int]]]:
+        """hermite_factorization of the rows: the pivots and the kernel
+        columns.  Only built for diagrams with interior regions."""
+        return intlinalg.hermite_factorization(
+            self.rows, len(self.diagram.interior_regions))
 
     def _potential(self, g: Generator) -> list:
         g = tuple(g)
@@ -203,36 +186,40 @@ class DefectSystem:
                 # no regions to solve for: x and y connect when they agree
                 pot = [frozenset(g), [], []]
             else:
-                images = self.images
-                total = [0] * len(self.smith[1])
+                res = [0] * len(self.rows)
                 for p in set(g):
-                    total = [a + b for a, b in zip(total, images[p])]
-                key = tuple(total[i] % e if e else total[i]
-                            for i, e in self.diagonal[1])
-                pot = [key, total, None]
+                    i = self._alpha_row[p]
+                    res[i] += 1
+                    res[i + 1] -= 1
+                coeffs = intlinalg.hermite_reduce(self.hermite[0], res)
+                pot = [tuple(res), coeffs, None]
             self._potentials[g] = pot
         return pot
 
     def _particular(self, pot: list) -> list[int]:
-        """v q(g) for g's potential pot, built on first use from the
-        quotient q(g) of S(g) by the diagonal; for generators x and y with
-        equal keys, the particular solution of y minus that of x is a
-        domain from x to y."""
+        """u c(g) for g's potential pot, built on first use from its
+        reduction coefficients; for generators x and y with equal keys,
+        the particular solution of y minus that of x is a domain from x to
+        y."""
         if pot[2] is None:
-            v = self.smith[2]
-            n = len(v)
-            quot = [t // e if e else 0
-                    for t, e in zip(pot[1][:n], self.diagonal[0])]
-            pot[2] = intlinalg.mat_vec(v, quot + [0] * (n - len(quot)))
+            sol = [0] * len(self.diagram.interior_regions)
+            pivots = self.hermite[0]
+            for k, q in pot[1]:
+                for j, x in pivots[k][3].items():
+                    sol[j] += q * x
+            pot[2] = sol
         return pot[2]
 
     @cached_property
     def periodic(self) -> tuple[Domain, ...]:
-        """Lattice basis of the periodic domains, in column-echelon form."""
-        if not self.diagram.interior_regions:
+        """Lattice basis of the periodic domains, in reduced column-echelon
+        form."""
+        n = len(self.diagram.interior_regions)
+        if not n:
             return ()
+        kernel = ([u.get(j, 0) for j in range(n)] for u in self.hermite[1])
         return tuple(Domain(self.diagram, vec)
-                     for vec in intlinalg.kernel_basis(self.smith))
+                     for vec in intlinalg.hermite_columns(kernel))
 
     @cached_property
     def _program(self) -> ratlp.LPResult | None:
@@ -373,8 +360,7 @@ def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:
 
 
 def _check_generator(d: Diagram, g: Generator) -> None:
-    crossings = set(d.crossings)
-    if not set(g) <= crossings:
+    if not set(g) <= d.crossing_curves.keys():
         raise ValueError(f"generator {g} uses non-crossing vertices")
 
 

@@ -1,143 +1,108 @@
-"""Exact integer matrix routines: Smith form and kernels.
+"""Exact integer matrix routines: a column Hermite factorization, the
+reduction of a vector against it, and the reduced echelon form of a
+lattice.
+
+A column Hermite factorization a u = h, with u unimodular and h in column
+echelon form, answers the three questions a defect matrix a is asked.  A
+vector's residue after reduction against h's pivots names its coset of
+a's column lattice, so two right-hand sides differ by an image of a
+exactly when their residues agree; this residue is a generator's class
+key.  The reduction's coefficients c give u c, which a sends to the vector
+minus its residue.  The columns of u that h sends to zero are a basis of
+a's kernel.
 
 Matrices are lists of lists of Python ints, so every computation here is
 exact at arbitrary precision.  The sizes that show up in practice are small
-(tens of rows, mostly zero), and the Smith form is set up once per diagram,
-so it skips what a unit pivot makes needless and keeps u sparse; the other
-routines are written for clarity.
+(tens of rows, mostly zero), and the factorization is set up once per
+diagram, so it keeps its transform sparse.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+# one pivot of a column Hermite factorization: its row, its positive entry,
+# the column of h as (row, entry) pairs and the column of u as {index: entry}
+Pivot = tuple[int, int, list[tuple[int, int]], dict[int, int]]
 
 
-def smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (u, s, v) with s = u * a * v diagonal and u, v unimodular.
+def hermite_factorization(a: list[list[int]],
+                          n: int) -> tuple[list[Pivot], list[dict[int, int]]]:
+    """Column Hermite factorization a u = h of the m x n matrix a, with u
+    unimodular and h in column echelon form; n is given so that a may have
+    no rows.
 
-    Diagonal entries are nonnegative and each divides the next.  Pivoting is
-    deterministic: smallest nonzero magnitude in the trailing block, ties by
-    position, so the scan stops at the first entry of magnitude 1 in
-    row-major order.  The pivot is chosen again after every elimination
-    pass; one kept for the whole diagonal position lets the remainder steps
-    and folds grow the trailing block's entries to thousands of digits.
-    A pivot of magnitude 1 divides everything, so its pass clears its row
-    and column and needs no divisibility check.  The rows of u are kept
-    sparse (column -> nonzero entry) while eliminating, since row operations
-    on a defect matrix touch few of them, and are made dense on return.
+    The rows are taken in order.  The columns that hold no pivot yet and
+    are nonzero in the row are gcd-reduced into one by remainder steps,
+    each dividing by the entry of least magnitude (ties to the earlier
+    column), and that column, made positive there, is the row's pivot.
+    Returns the pivots in row order and the columns of u whose column of h
+    ends at zero, which are a basis of {x : a x = 0}.  Columns of u are
+    sparse ({index: nonzero entry}), since a defect matrix's column
+    operations touch few of them.
     """
-    s = [row[:] for row in a]
-    m = len(s)
-    n = len(s[0]) if m else 0
-    u: list[dict[int, int]] = [{i: 1} for i in range(m)]
-    v = identity(n)
-    # rows t.. of s are zero left of column t, and rows ..t-1 are finished
-    # (zero off the diagonal), so every pass below works on rows t.. only
-    t = 0
-    while True:
-        pivot = None
-        for i in range(t, m):
-            row = s[i]
-            if 1 in row or -1 in row:
-                pivot = (i, min(row.index(x) for x in (1, -1) if x in row))
-                break
-        if pivot is None:
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = s[i][j]
-                    if x and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
-                break
-        pi, pj = pivot
-        s[t], s[pi] = s[pi], s[t]
-        u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            for row in s[t:]:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        top = s[t]
-        p = top[t]
-        # clear row and column t by remainder steps
-        dirty = False
-        prow = [(j, x) for j, x in enumerate(top) if x]
-        for i in range(t + 1, m):
-            row = s[i]
-            if row[t]:
-                c = -(row[t] // p)
-                for j, x in prow:
-                    row[j] += c * x
-                _add_sparse(u[i], u[t], c)
-                dirty = dirty or row[t] != 0
-        rows = [row for row in s[t:] if row[t]] + [row for row in v if row[t]]
-        for j in range(t + 1, n):
-            if top[j]:
-                c = -(top[j] // p)
-                for row in rows:
-                    row[j] += c * row[t]
-                dirty = dirty or top[j] != 0
-        if dirty:
-            continue
-        # the pivot must divide everything in the trailing block, or the
-        # divisibility chain d1 | d2 | ... fails; fold an offender in
-        if abs(p) != 1:
-            bad = next((i for i in range(t + 1, m)
-                        if any(s[i][j] % p for j in range(t + 1, n))), None)
-            if bad is not None:
-                s[t] = [x + y for x, y in zip(top, s[bad])]
-                _add_sparse(u[t], u[bad], 1)
-                continue
-        if p < 0:
-            s[t] = [-x for x in top]
-            u[t] = {k: -x for k, x in u[t].items()}
-        t += 1
-    dense = [[0] * m for _ in range(m)]
-    for out, row in zip(dense, u):
-        for k, x in row.items():
-            out[k] = x
-    return dense, s, v
+    m = len(a)
+    cols = [[row[j] for row in a] for j in range(n)]
+    us: list[dict[int, int]] = [{j: 1} for j in range(n)]
+    free = list(range(n))
+    pivots: list[Pivot] = []
+    for i in range(m):
+        live = [j for j in free if cols[j][i]]
+        while len(live) > 1:
+            live.sort(key=lambda j: abs(cols[j][i]))
+            base = live[0]
+            p = cols[base][i]
+            # free columns are zero above row i
+            terms = [(r, x) for r, x in enumerate(cols[base]) if x]
+            ub = us[base].items()
+            for j in live[1:]:
+                h, u = cols[j], us[j]
+                q = h[i] // p
+                for r, x in terms:
+                    h[r] -= q * x
+                for k, x in ub:
+                    y = u.get(k, 0) - q * x
+                    if y:
+                        u[k] = y
+                    else:
+                        del u[k]
+            live = [j for j in live if cols[j][i]]
+        if live:
+            j = live[0]
+            h, u = cols[j], us[j]
+            if h[i] < 0:
+                h[:] = [-x for x in h]
+                us[j] = u = {k: -x for k, x in u.items()}
+            pivots.append((i, h[i], [(r, x) for r, x in enumerate(h) if x], u))
+            free.remove(j)
+    return pivots, [us[j] for j in free]
 
 
-def _add_sparse(dst: dict[int, int], src: dict[int, int], c: int) -> None:
-    # dst += c * src, dropping entries that cancel
-    for k, x in src.items():
-        y = dst.get(k, 0) + c * x
-        if y:
-            dst[k] = y
-        else:
-            del dst[k]
-
-
-def kernel_basis(snf) -> list[list[int]]:
-    """Integer basis of {x : a x = 0}, as a list of length-n vectors, from
-    snf = smith_normal_form(a) of a matrix a with at least one row.
-
-    The basis generates the full kernel lattice (saturated, since it comes
-    from unimodular column operations).  Output is put in column Hermite
-    form so callers get a canonical, triangular generating set.
-    """
-    _, s, v = snf
-    m, n = len(s), len(v)
-    r = sum(1 for i in range(min(m, n)) if s[i][i] != 0)
-    return hermite_columns([row[j] for row in v] for j in range(r, n))
+def hermite_reduce(pivots: list[Pivot], vec: list[int]) -> list[tuple[int, int]]:
+    """Reduce vec in place against the pivots of a ``hermite_factorization``
+    a u = h, in row order, each step subtracting the floor quotient at the
+    pivot's row times its column of h.  Returns the nonzero quotients c as
+    (pivot index, quotient) pairs, so that vec on entry is h c plus vec on
+    return.  h is in column echelon form, so the reduced vec is the same
+    for every vector of one coset of h's column lattice, which is a's."""
+    coeffs = []
+    for k, (r, e, terms, _) in enumerate(pivots):
+        q = vec[r] // e
+        if q:
+            for i, x in terms:
+                vec[i] -= q * x
+            coeffs.append((k, q))
+    return coeffs
 
 
 def hermite_columns(vectors: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Column Hermite form of the lattice spanned by the given vectors.
+    """Reduced column Hermite form of the lattice spanned by the vectors.
 
     Returns the nonzero columns as new lists, each with positive leading
-    (topmost nonzero) entry, echeloned by leading row.  Column operations
-    only, so the lattice is unchanged.
+    (topmost nonzero) entry, echeloned by leading row, and each column's
+    entry at every later column's leading row reduced into [0, that
+    column's leading entry).  Column operations only, so the lattice is
+    unchanged, and the reduced form is unique to the lattice: any two
+    generating sets of one lattice give the same columns.
     """
     cols = [list(c) for c in vectors]
     n = len(cols[0]) if cols else 0
@@ -161,6 +126,14 @@ def hermite_columns(vectors: Iterable[Sequence[int]]) -> list[list[int]]:
             if c[row] < 0:
                 for i in range(n):
                     c[i] = -c[i]
+            # bring each earlier column's entry in this row into [0, lead);
+            # c is zero above this row, so their entries at earlier leads
+            # stay as they were reduced
+            for prev in done:
+                q = prev[row] // c[row]
+                if q:
+                    for i in range(row, n):
+                        prev[i] -= q * c[i]
             done.append(c)
             cols.remove(c)
     return done

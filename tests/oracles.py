@@ -2,19 +2,21 @@
 
 Everything here recomputes from the raw cell data (edges, region cycles,
 quadrants) with its own bookkeeping, deliberately avoiding the library's
-matrix assembly, lattice solving, and counting code.  Two exceptions: the
-per-pair connecting domain reuses the diagram's defect system and solves
-its Smith form afresh for every pair, the path the library's per-generator
-potentials replaced; and the pairing invariant at the end reuses
-``intlinalg.smith_normal_form`` on a matrix of its own.  Some entries are
-earlier forms of library code kept as references for the faster forms that
-replaced them: the dense, fully scanned Smith form, the per-crossing
+matrix assembly, lattice solving, and counting code.  One exception: the
+per-pair connecting domain and the per-generator potentials read the
+diagram's defect rows and periodic basis, but factor the rows with their
+own Smith form.  The
+Smith form (``dense_smith_normal_form``, dense and fully scanned) is the
+reference for the library's Hermite factorization: its diagonal names the
+class keys, and the pairing invariant at the end factors a matrix of its
+own with it.  Some entries are earlier forms of library code kept as
+references for the faster forms that replaced them: the per-crossing
 scans behind the defect rows and ``Diagram.crossing_curves``, validation
 with one walk of the region cycles per table, each generator's class
-key and particular solution with the Smith diagonal rebuilt per generator,
-the coset walk that bounds only the lead row, the admissibility LP run on
-every periodic lattice, the GF(2) rank that reduces against the whole
-basis, and d^2 over every column.  The Maslov index checked against the
+key and particular solution read off the Smith form, the coset walk that
+bounds only the lead row, the admissibility LP run on every periodic
+lattice, the GF(2) rank that reduces against the whole basis, and d^2
+over every column.  The Maslov index checked against the
 defect rows (``maslov_index`` with ``defect_rhs``) is the reference for
 the library's unchecked quarter-index sums, which take only domains that
 connect their pair.
@@ -23,9 +25,10 @@ at each crossing in cyclic order (``quadrants``).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
-from sfh import intlinalg, ratlp
+from sfh import ratlp
 from sfh.diagram import (ALPHA, BD, BETA, CROSSING, CURVE_KINDS, MARKER,
                          VERTEX_KINDS, Corner, Diagram, Edge, Generator,
                          enumerate_generators)
@@ -162,6 +165,14 @@ def coset_bases(d: Diagram) -> list[tuple[int, ...]]:
     return sorted(b.coeffs for b in bases if b is not None)
 
 
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+
+
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
     out = [[0] * cols for _ in range(rows)]
@@ -181,9 +192,9 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def dense_smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """``intlinalg.smith_normal_form`` as first written: the pivot scan
-    always covers the whole trailing block, the divisibility scan runs for
-    every pivot, and u is dense throughout.  Returns the same (u, s, v).
+    """The Smith form: (u, s, v) with s = u * a * v diagonal and u, v
+    unimodular, found with dense rows and a pivot scan over the whole
+    trailing block.
 
     Diagonal entries are nonnegative and each divides the next.  Pivoting is
     deterministic: smallest nonzero magnitude in the trailing block, ties by
@@ -194,8 +205,8 @@ def dense_smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[l
     s = [row[:] for row in a]
     m = len(s)
     n = len(s[0]) if m else 0
-    u = intlinalg.identity(m)
-    v = intlinalg.identity(n)
+    u = identity(m)
+    v = identity(n)
 
     def swap_rows(i, j):
         s[i], s[j] = s[j], s[i]
@@ -602,31 +613,26 @@ def solve(snf, ub: list[int]) -> list[int] | None:
             y[i] = ub[i] // d
         elif ub[i] != 0:
             return None
-    return intlinalg.mat_vec(v, y)
+    return mat_vec(v, y)
 
 
-def per_pair_connecting_domain(d: Diagram, x: Generator,
-                               y: Generator) -> Domain | None:
-    """``connecting_domain`` by one Smith solve for the pair: the image of
-    its right-hand side sums the crossing images over y minus x and
-    subtracts those over x minus y, and the solution is normalized against
-    the echelon periodic basis."""
-    crossings = set(d.crossings)
-    for g in (x, y):
-        if not set(g) <= crossings:
-            raise ValueError(f"generator {g} uses non-crossing vertices")
-    xs, ys = set(x), set(y)
-    if not d.interior_regions:
-        return Domain(d, ()) if xs == ys else None
-    images = d.defects.images
-    ub = [0] * len(d.defects.smith[0])
-    for v in ys - xs:
-        ub = [a + b for a, b in zip(ub, images[v])]
-    for v in xs - ys:
-        ub = [a - b for a, b in zip(ub, images[v])]
-    sol = solve(d.defects.smith, ub)
-    if sol is None:
-        return None
+@functools.lru_cache(maxsize=16)
+def _defect_smith(rows: tuple[tuple[int, ...], ...], n: int):
+    # a zero row stands in for none
+    return dense_smith_normal_form([list(r) for r in rows] or [[0] * n])
+
+
+def defect_smith(d: Diagram):
+    """The Smith form (u, s, v) of d's defect rows, one zero row standing in
+    for none; d must have interior regions."""
+    return _defect_smith(tuple(map(tuple, d.defects.rows)),
+                         len(d.interior_regions))
+
+
+def normalized(d: Diagram, sol: list[int]) -> Domain:
+    """The representative of sol's coset of periodic domains that
+    ``connecting_domain`` returns: sol reduced against each echelon
+    periodic basis vector at its lead."""
     for b in d.defects.periodic:
         lead = next(i for i, c in enumerate(b.coeffs) if c)
         q = sol[lead] // b.coeffs[lead]
@@ -635,21 +641,37 @@ def per_pair_connecting_domain(d: Diagram, x: Generator,
     return Domain(d, sol)
 
 
+def per_pair_connecting_domain(d: Diagram, x: Generator,
+                               y: Generator) -> Domain | None:
+    """``connecting_domain`` by one Smith solve for the pair's right-hand
+    side, normalized against the echelon periodic basis."""
+    crossings = set(d.crossings)
+    for g in (x, y):
+        if not set(g) <= crossings:
+            raise ValueError(f"generator {g} uses non-crossing vertices")
+    if not d.interior_regions:
+        return Domain(d, ()) if set(x) == set(y) else None
+    snf = defect_smith(d)
+    sol = solve(snf, mat_vec(snf[0], defect_rhs(d, x, y)))
+    return None if sol is None else normalized(d, sol)
+
+
 def dense_potential(d: Diagram, g: Generator) -> tuple[tuple, list[int]]:
-    """Generator g's class key and particular solution as they were formed
-    per generator: the Smith diagonal rebuilt for each, the key read off
-    every position, and the quotient taken together with the key."""
+    """Generator g's class key and particular solution read off the Smith
+    form u a v = s: S(g) = u R(g), for R(g) the right-hand side from no
+    points to g, reduced modulo the diagonal at its entries other than 1
+    is the key, and v times the floor quotient is the particular solution.
+    Generators with equal keys are connected, and the difference of their
+    particular solutions is a domain between them."""
     if not d.interior_regions:
         return frozenset(g), []
-    images, (_, s, v) = d.defects.images, d.defects.smith
-    total = [0] * len(s)
-    for p in set(g):
-        total = [a + b for a, b in zip(total, images[p])]
+    u, s, v = defect_smith(d)
+    total = mat_vec(u, defect_rhs(d, (), g))
     n = len(v)
     diag = [s[i][i] if i < n else 0 for i in range(len(s))]
     key = tuple(t % e if e else t for t, e in zip(total, diag) if e != 1)
     quot = [t // e if e else 0 for t, e in zip(total[:n], diag)]
-    return key, intlinalg.mat_vec(v, quot + [0] * (n - len(quot)))
+    return key, mat_vec(v, quot + [0] * (n - len(quot)))
 
 
 def brute_force_positive_domains(d: Diagram, x: Generator, y: Generator,
@@ -885,14 +907,14 @@ class PairingTable:
         if n == 0:
             self.factors, self.proj = [], []
         elif k == 0:
-            self.factors, self.proj = [0] * n, intlinalg.identity(n)
+            self.factors, self.proj = [0] * n, identity(n)
         else:
-            self.proj, s, _ = intlinalg.smith_normal_form(a)
+            self.proj, s, _ = dense_smith_normal_form(a)
             self.factors = [s[i][i] if i < min(n, k) else 0 for i in range(n)]
 
     def reduce(self, chain: dict[int, int]) -> tuple[int, ...]:
         coords = [chain.get(e, 0) for e in self.nontree]
-        w = intlinalg.mat_vec(self.proj, coords) if coords else []
+        w = mat_vec(self.proj, coords) if coords else []
         out = []
         for val, f in zip(w, self.factors):
             if f == 1:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from sfh import intlinalg, ratlp
+from sfh import ratlp
 from sfh.builders import BUILDERS, build_example
 from sfh.diagram import ALPHA, BETA, enumerate_generators
 from sfh.domains import (
@@ -27,8 +27,8 @@ from sfh.shd import parse, serialize
 from oracles import (admissibility_program, brute_force_positive_domains,
                      connects, coset_bases, curve_multiplicities, defect_rhs,
                      dense_potential, maslov_index, per_crossing_curves,
-                     per_crossing_defect_system, per_pair_connecting_domain,
-                     reference_walk)
+                     normalized, per_crossing_defect_system,
+                     per_pair_connecting_domain, reference_walk)
 from test_homology import _count_calls, _nice_variants, _walk_variants
 from test_intlinalg import setup_diagrams
 
@@ -194,28 +194,49 @@ def test_connecting_domain_none_across_classes():
                 assert dom.is_zero()
 
 
-def test_potentials_reduce_modulo_the_smith_diagonal():
-    # no buildable diagram has a class whose points differ where the Smith
-    # diagonal exceeds 1, so plant one on s1s2's two crossings: under the
-    # diagonal 2 the images -1 and 3 share a key, and their floor quotients
-    # -1 and 1 differ by exactly (3 - -1) / 2
-    d = build_example("s1s2", [])
-    d.defects.smith = (intlinalg.identity(4), [[2, 0], [0, 0], [0, 0], [0, 0]],
-                       intlinalg.identity(2))
-    d.defects.images = {1: [-1, 0, 0, 0], 2: [3, 0, 0, 0]}
-    for x, y in itertools.product([(1,), (2,), (1, 2)], repeat=2):
-        assert connecting_domain(d, x, y) == per_pair_connecting_domain(d, x, y)
-    assert connecting_domain(d, (1,), (2,)).coeffs == (2, 0)
-    assert connecting_domain(d, (1,), (1, 2)) is None  # 3 is odd
+def test_potentials_reduce_at_non_unit_pivots():
+    # a pivot other than 1 leaves a residue that need not be 0 in its row,
+    # and relabeled lens diagrams have such pivots: their keys must still
+    # tell the p singleton classes apart, and a union with spheres(3) adds
+    # classes of four whose domains come from the reduction's coefficients.
+    # (Classes whose members differ by a multiple of a non-unit pivot's
+    # column occur in test_intlinalg's random matrices, not here.)
+    diagrams = [permute_ids(build_example("torus_lens", [p]), seed)
+                for p in range(12, 21) for seed in (1, 1250219996)]
+    diagrams += [permute_ids(disjoint_union(build_example("torus_lens", [12]),
+                                            build_example("spheres", [3])), 3)]
+    checked = connected = 0
+    for d in diagrams:
+        if all(e == 1 for _, e, _, _ in d.defects.hermite[0]):
+            continue
+        gens = enumerate_generators(d)
+        for x, y in itertools.product(gens, repeat=2):
+            want = per_pair_connecting_domain(d, x, y)
+            assert connecting_domain(d, x, y) == want, (d.name, x, y)
+            connected += want is not None and not want.is_zero()
+        checked += 1
+    assert checked == 19 and connected >= 100
 
 
 def test_potentials_match_the_dense_per_generator_oracle():
+    # the Hermite residues partition the generators as the Smith keys do,
+    # and each generator's domain from its class's least member is the
+    # difference of the Smith particular solutions, normalized
     count = 0
     for d in setup_diagrams():
         ds = d.defects
-        for g in enumerate_generators(d):
-            pot = ds._potential(g)
-            assert (pot[0], ds._particular(pot)) == dense_potential(d, g), (d.name, g)
+        gens = enumerate_generators(d)
+        ours, theirs = {}, {}
+        for g in gens:
+            ours.setdefault(ds._potential(g)[0], []).append(g)
+            theirs.setdefault(dense_potential(d, g)[0], []).append(g)
+        assert sorted(ours.values()) == sorted(theirs.values()), d.name
+        for members in ours.values():
+            first = dense_potential(d, members[0])[1]
+            for g in members:
+                sol = [b - a for a, b in zip(first, dense_potential(d, g)[1])]
+                assert connecting_domain(d, members[0], g) == \
+                    normalized(d, sol), (d.name, g)
         count += 1
     assert count == 138
 

@@ -1,24 +1,101 @@
 """Randomized checks of the exact integer linear algebra kernel."""
 from __future__ import annotations
 
+import math
 import random
 import signal
 
 from sfh import intlinalg
 from sfh.builders import build_example
-from sfh.domains import defect_system
 from sfh.moves import permute_ids
 
-from oracles import dense_smith_normal_form, mat_mul, solve
+from oracles import dense_smith_normal_form, mat_mul, mat_vec, solve
 
 
-def _mat_eq(a, b):
-    return a == b
+def _dense(a, pivots, kernel, n):
+    """u and h of a Hermite factorization of a, made dense: the pivot
+    columns first, in row order, then the kernel columns."""
+    ucols = [u for *_, u in pivots] + kernel
+    u = [[c.get(i, 0) for c in ucols] for i in range(n)]
+    hcols = [dict(terms) for _, _, terms, _ in pivots] + [{}] * len(kernel)
+    h = [[c.get(i, 0) for c in hcols] for i in range(len(a))]
+    return u, h
 
 
-def _solve(a, b):
-    snf = intlinalg.smith_normal_form(a)
-    return solve(snf, intlinalg.mat_vec(snf[0], b))
+def _residue(pivots, b):
+    """(residue, coefficients) of b, reduced as a class key is."""
+    res = list(b)
+    coeffs = intlinalg.hermite_reduce(pivots, res)
+    return tuple(res), coeffs
+
+
+def _combine(pivots, coeffs, n):
+    # u c for the coefficients c of _residue
+    x = [0] * n
+    for k, q in coeffs:
+        for j, v in pivots[k][3].items():
+            x[j] += q * v
+    return x
+
+
+def _solve(a, b, n):
+    """One integer solution x of a x = b, or None, from the Hermite
+    factorization: b must reduce to residue 0, and u c solves it."""
+    pivots, _ = intlinalg.hermite_factorization(a, n)
+    res, coeffs = _residue(pivots, b)
+    return None if any(res) else _combine(pivots, coeffs, n)
+
+
+def _smith_solve(a, b):
+    snf = dense_smith_normal_form(a)
+    return solve(snf, mat_vec(snf[0], b))
+
+
+def _smith_kernel(snf, n):
+    """The kernel lattice's reduced echelon basis, from a Smith form."""
+    _, s, v = snf
+    r = sum(1 for i in range(min(len(s), n)) if s[i][i])
+    return intlinalg.hermite_columns([row[j] for row in v] for j in range(r, n))
+
+
+def _hermite_kernel(kernel, n):
+    return intlinalg.hermite_columns([c.get(j, 0) for j in range(n)]
+                                     for c in kernel)
+
+
+def _smith_key(snf, b):
+    # u b reduced modulo the diagonal entries other than 1 (exact where 0)
+    u, s, v = snf
+    ub = mat_vec(u, b)
+    diag = [s[i][i] if i < len(v) else 0 for i in range(len(s))]
+    return tuple(t % e if e else t for t, e in zip(ub, diag) if e != 1)
+
+
+def _partition(keys):
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, set()).add(i)
+    return sorted(map(sorted, groups.values()))
+
+
+def _assert_factorization(a, n, bound):
+    """a u = h, u unimodular, h in column echelon form with positive
+    pivots, and no entry of u or h above bound in magnitude (if given).
+    Returns the factorization's pivots and kernel columns."""
+    pivots, kernel = intlinalg.hermite_factorization(a, n)
+    u, h = _dense(a, pivots, kernel, n)
+    assert mat_mul(a, u) == h
+    assert n == 0 or abs(_det(u)) == 1
+    rows = [r for r, *_ in pivots]
+    assert rows == sorted(set(rows))
+    for k, (r, e, terms, _) in enumerate(pivots):
+        assert e > 0 and h[r][k] == e
+        assert all(h[i][k] == 0 for i in range(r))
+    assert all(not any(row[len(pivots):]) for row in h)
+    if bound is not None:
+        assert max((abs(x) for m in (u, h) for row in m for x in row),
+                   default=0) <= bound
+    return pivots, kernel
 
 
 def _det(a):
@@ -49,7 +126,7 @@ def test_snf_random():
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         a = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        u, s, v = intlinalg.smith_normal_form(a)
+        u, s, v = dense_smith_normal_form(a)
         assert mat_mul(mat_mul(u, a), v) == s
         # diagonal, nonnegative, divisibility chain
         diag = []
@@ -69,26 +146,48 @@ def test_snf_random():
 
 
 def test_snf_relabeled_torus_lens_stays_small():
-    # this relabeling's 40 x 19 defect matrix made pivots chosen once per
-    # diagonal position grow the trailing block past 4,000 digits; the alarm
-    # turns such a run into a failure instead of a hang
-    a, _ = defect_system(permute_ids(build_example("torus_lens", (20,)),
-                                     1250219996))
+    # this relabeling's 40 x 19 defect matrix once made a Smith form whose
+    # pivots were chosen once per diagonal position grow its trailing block
+    # past 4,000 digits; the Hermite factorization that replaced it is held
+    # to small entries on it, and the alarm turns a blow-up into a failure
+    # instead of a hang
+    d = permute_ids(build_example("torus_lens", (20,)), 1250219996)
+    a, n = d.defects.rows, len(d.interior_regions)
 
     def too_slow(signum, frame):
-        raise TimeoutError("smith_normal_form ran for over 5 s")
+        raise TimeoutError("hermite_factorization ran for over 5 s")
 
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:
-        u, s, v = intlinalg.smith_normal_form(a)
+        intlinalg.hermite_factorization(a, n)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert mat_mul(mat_mul(u, a), v) == s
-    diag = [s[i][i] for i in range(len(a[0]))]
-    assert diag == [1] * 18 + [20]
-    assert sum(1 for row in s for x in row if x) == len(diag)
+    pivots, kernel = _assert_factorization(a, n, 1000)
+    # full column rank, and the pivots multiply to the product of the
+    # Smith diagonal, [1] * 18 + [20]
+    assert (len(pivots), len(kernel)) == (19, 0)
+    assert math.prod(e for _, e, _, _ in pivots) == 20
+
+
+def test_hermite_entries_stay_small_under_relabeling():
+    # entry growth is the known risk of Hermite forms; on 600 relabelings
+    # of the lens and sphere families the largest entry of u or h seen is
+    # 168
+    biggest = 0
+    for name, p in (("torus_lens", 16), ("torus_lens", 20), ("lens_knot", 20),
+                    ("spheres", 5)):
+        d0 = build_example(name, (p,))
+        for seed in range(150):
+            d = permute_ids(d0, seed)
+            pivots, kernel = intlinalg.hermite_factorization(
+                d.defects.rows, len(d.interior_regions))
+            biggest = max(biggest, *(abs(x) for _, _, terms, _ in pivots
+                                     for _, x in terms),
+                          *(abs(x) for *_, u in pivots for x in u.values()),
+                          *(abs(x) for u in kernel for x in u.values()))
+    assert biggest <= 1000
 
 
 def setup_diagrams():
@@ -103,28 +202,49 @@ def setup_diagrams():
                 yield permute_ids(d, seed)
 
 
-def test_snf_matches_dense_oracle_on_random_matrices():
-    # small entries with 2, 3, 4 and 6 give non-unit and negative pivots and
-    # blocks that a pivot does not divide, so the folds run too
+def test_hermite_matches_dense_smith_on_random_matrices():
+    # small entries of both signs with 2, 3, 4 and 6 give non-unit
+    # pivots; the kernel lattices agree, and right-hand sides, half of them a
+    # shared base plus a planted image, share a Hermite residue exactly
+    # when they share a Smith key
     rng = random.Random(78)
     entries = (1, 2, 3, 4, 6, -1, -2, -3, -4, -6)
-    non_unit = 0
+    non_unit = shared = 0
     for _ in range(2000):
         rows, cols = rng.randint(1, 10), rng.randint(1, 8)
         density = rng.uniform(0.1, 1)
         a = [[rng.choice(entries) if rng.random() < density else 0
               for _ in range(cols)] for _ in range(rows)]
-        got = intlinalg.smith_normal_form(a)
-        assert got == dense_smith_normal_form(a), a
-        non_unit += any(got[1][i][i] > 1 for i in range(min(rows, cols)))
-    assert non_unit > 100
+        pivots, kernel = _assert_factorization(a, cols, None)
+        snf = dense_smith_normal_form(a)
+        assert _hermite_kernel(kernel, cols) == _smith_kernel(snf, cols), a
+        non_unit += any(e > 1 for _, e, _, _ in pivots)
+        base = [rng.randrange(-3, 4) for _ in range(rows)]
+        rhs = [[rng.randrange(-3, 4) for _ in range(rows)] for _ in range(4)]
+        for _ in range(4):
+            x = [rng.randrange(-2, 3) for _ in range(cols)]
+            rhs.append([b + y for b, y in zip(base, mat_vec(a, x))])
+        reduced = [_residue(pivots, b) for b in rhs]
+        ours = [res for res, _ in reduced]
+        assert _partition(ours) == _partition(
+            [_smith_key(snf, b) for b in rhs]), a
+        shared += len(set(ours)) < len(ours)
+        # b = h c + residue, so a (u c) = b - residue
+        for b, (res, coeffs) in zip(rhs, reduced):
+            assert mat_vec(a, _combine(pivots, coeffs, cols)) == \
+                [p - q for p, q in zip(b, res)]
+    assert non_unit > 100 and shared > 1000
 
 
-def test_snf_matches_dense_oracle_on_defect_matrices():
+def test_hermite_matches_dense_smith_on_defect_matrices():
     count = 0
     for d in setup_diagrams():
-        a = d.defects.rows or [[0] * len(d.interior_regions)]
-        assert intlinalg.smith_normal_form(a) == dense_smith_normal_form(a), d.name
+        a, n = d.defects.rows, len(d.interior_regions)
+        _, kernel = _assert_factorization(a, n, 1000)
+        snf = dense_smith_normal_form(a or [[0] * n])
+        basis = [list(b.coeffs) for b in d.defects.periodic]
+        assert basis == _hermite_kernel(kernel, n) == _smith_kernel(snf, n), \
+            d.name
         count += 1
     assert count == 138
 
@@ -135,11 +255,12 @@ def test_kernel_random():
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         a = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        basis = intlinalg.kernel_basis(intlinalg.smith_normal_form(a))
+        basis = _hermite_kernel(intlinalg.hermite_factorization(a, cols)[1],
+                                cols)
         for vec in basis:
-            assert intlinalg.mat_vec(a, vec) == [0] * rows
+            assert mat_vec(a, vec) == [0] * rows
         # rank-nullity over Q
-        u, s, v = intlinalg.smith_normal_form(a)
+        u, s, v = dense_smith_normal_form(a)
         rank = sum(1 for i in range(min(rows, cols)) if s[i][i])
         assert len(basis) == cols - rank
         # kernel membership is detected: every small kernel vector reduces
@@ -149,7 +270,7 @@ def test_kernel_random():
             for vec in basis:
                 w = rng.randrange(-2, 3)
                 combo = [c + w * x for c, x in zip(combo, vec)]
-            assert intlinalg.mat_vec(a, combo) == [0] * rows
+            assert mat_vec(a, combo) == [0] * rows
 
 
 def test_solve_random():
@@ -162,22 +283,24 @@ def test_solve_random():
         if rng.random() < 0.5:
             # planted solution: rhs guaranteed feasible
             x = [rng.randrange(-4, 5) for _ in range(cols)]
-            b = intlinalg.mat_vec(a, x)
+            b = mat_vec(a, x)
         else:
             b = [rng.randrange(-8, 9) for _ in range(rows)]
-        got = _solve(a, b)
+        got = _solve(a, b, cols)
+        assert (got is None) == (_smith_solve(a, b) is None), (a, b)
         if got is not None:
-            assert intlinalg.mat_vec(a, got) == b
+            assert mat_vec(a, got) == b
             solved += 1
     assert solved > 40
 
 
 def test_solve_reports_integer_infeasibility():
     # 2x = 1 has a rational solution but no integer one
-    assert _solve([[2]], [1]) is None
-    assert _solve([[2]], [4]) == [2]
-    # inconsistent system
-    assert _solve([[1], [1]], [0, 1]) is None
+    for sol in (lambda a, b: _solve(a, b, len(a[0])), _smith_solve):
+        assert sol([[2]], [1]) is None
+        assert sol([[2]], [4]) == [2]
+        # inconsistent system
+        assert sol([[1], [1]], [0, 1]) is None
 
 
 def test_hermite_columns_canonical():
@@ -186,10 +309,14 @@ def test_hermite_columns_canonical():
     b2 = intlinalg.hermite_columns([[1, 3], [2, 0]])
     # the generators are column vectors; same lattice, same echelon form
     assert b1 == b2
+    # both span Z^2: the entry of the first column at the second lead is
+    # reduced into [0, 1)
+    assert intlinalg.hermite_columns([[1, 1], [0, 1]]) == [[1, 0], [0, 1]]
+    assert intlinalg.hermite_columns([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
 
 
 def test_empty_shapes():
-    assert intlinalg.kernel_basis(intlinalg.smith_normal_form([[0, 0]])) \
-        == [[1, 0], [0, 1]]
-    assert _solve([[0]], [0]) == [0]
-    assert _solve([[0]], [1]) is None
+    assert intlinalg.hermite_factorization([[0, 0]], 2) == \
+        intlinalg.hermite_factorization([], 2) == ([], [{0: 1}, {1: 1}])
+    assert _solve([[0]], [0], 1) == [0]
+    assert _solve([[0]], [1], 1) is None
