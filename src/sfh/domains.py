@@ -236,9 +236,7 @@ class DefectSystem:
         bmat = list(zip(*(b.coeffs for b in basis)))
         a_ub = [[-v for v in row] for row in bmat] + bmat
         b_ub = [0] * len(bmat) + [1] * len(bmat)
-        res = ratlp.maximize(sums, a_ub, b_ub)
-        assert res.status == ratlp.OPTIMAL  # box is bounded and contains 0
-        return res
+        return ratlp.maximize(sums, a_ub, b_ub)
 
     @cached_property
     def admissibility(self) -> tuple[bool, Domain | None]:

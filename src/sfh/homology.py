@@ -98,10 +98,9 @@ def _gf2_rank(rows: list[int]) -> int:
 
 
 def verify_d_squared(d: Diagram, members: tuple[Generator, ...],
-                     rows: list[int] | None = None) -> None:
-    """Raise with diagnostics if the differential does not square to zero."""
-    if rows is None:
-        rows = boundary_matrix(d, members)
+                     rows: list[int]) -> None:
+    """Raise with diagnostics if the differential rows, those of
+    ``boundary_matrix(d, members)``, do not square to zero."""
     n = len(members)
     for i in range(n):
         acc = 0

@@ -1,6 +1,6 @@
-"""Exact integer matrix routines: a column Hermite factorization, the
-reduction of a vector against it, and the reduced echelon form of a
-lattice.
+"""Exact integer matrix routines on one echelon loop: a column Hermite
+factorization, the reduction of a vector against it, and the reduced
+echelon form of a lattice read off the two.
 
 A column Hermite factorization a u = h, with u unimodular and h in column
 echelon form, answers the three questions a defect matrix a is asked.  A
@@ -9,7 +9,10 @@ a's column lattice, so two right-hand sides differ by an image of a
 exactly when their residues agree; this residue is a generator's class
 key.  The reduction's coefficients c give u c, which a sends to the vector
 minus its residue.  The columns of u that h sends to zero are a basis of
-a's kernel.
+a's kernel.  The reduced echelon form of a lattice, which puts that
+kernel basis in the one form its lattice has, is read off the same two
+routines: factor the matrix of its generators, then reduce each pivot
+column against the pivots after it.
 
 Matrices are lists of lists of Python ints, so every computation here is
 exact at arbitrary precision.  The sizes that show up in practice are small
@@ -100,40 +103,22 @@ def hermite_columns(vectors: Iterable[Sequence[int]]) -> list[list[int]]:
     Returns the nonzero columns as new lists, each with positive leading
     (topmost nonzero) entry, echeloned by leading row, and each column's
     entry at every later column's leading row reduced into [0, that
-    column's leading entry).  Column operations only, so the lattice is
-    unchanged, and the reduced form is unique to the lattice: any two
-    generating sets of one lattice give the same columns.
+    column's leading entry).  These are the pivot columns of the
+    ``hermite_factorization`` of the matrix whose columns are the vectors,
+    each reduced against the pivots after it.  Column operations only, so
+    the lattice is unchanged, and the reduced form is unique to the
+    lattice: any two generating sets of one lattice give the same columns.
     """
-    cols = [list(c) for c in vectors]
-    n = len(cols[0]) if cols else 0
+    cols = list(vectors)
+    if not cols:
+        return []
+    rows = list(zip(*cols))
+    pivots, _ = hermite_factorization(rows, len(cols))
     done = []
-    for row in range(n):
-        if not cols:
-            break
-        # gcd-reduce all columns with a nonzero entry in this row into one
-        while True:
-            live = [c for c in cols if c[row] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda c: abs(c[row]))
-            base = live[0]
-            for c in live[1:]:
-                q = c[row] // base[row]
-                for i in range(n):
-                    c[i] -= q * base[i]
-        if live:
-            c = live[0]
-            if c[row] < 0:
-                for i in range(n):
-                    c[i] = -c[i]
-            # bring each earlier column's entry in this row into [0, lead);
-            # c is zero above this row, so their entries at earlier leads
-            # stay as they were reduced
-            for prev in done:
-                q = prev[row] // c[row]
-                if q:
-                    for i in range(row, n):
-                        prev[i] -= q * c[i]
-            done.append(c)
-            cols.remove(c)
+    for k, (_, _, terms, _) in enumerate(pivots):
+        col = [0] * len(rows)
+        for r, x in terms:
+            col[r] = x
+        hermite_reduce(pivots[k + 1:], col)
+        done.append(col)
     return done

@@ -199,27 +199,22 @@ def cut_product_arc(d: Diagram, arc: ProductArc) -> Diagram:
         new_edges.append(Edge(ne, BD, 1, tail, head))  # index fixed later
         return ne
 
-    # replacement sequences; cut j appears as the string marker ("cut", j)
+    # replacement sequences; cut j appears as the string marker ("cut", j).
+    # Each cut edge splits at its cut points in offset order, each point
+    # into a pair of markers, and the pieces run between them.
+    cuts: dict[int, list[tuple[int, int]]] = {}
+    for j, (eid, offset) in ((1, arc.start), (2, arc.end)):
+        cuts.setdefault(eid, []).append((offset, j))
     replacements: dict[int, list] = {}
-    if ea == eb:
-        e = d.edges[ea]
-        first, second = (1, 2) if oa < ob else (2, 1)
-        p1 = fresh_marker()
-        q1 = fresh_marker()
-        p2 = fresh_marker()
-        q2 = fresh_marker()
-        s1 = fresh_edge(e.tail, p1)
-        s2 = fresh_edge(q1, p2)
-        s3 = fresh_edge(q2, e.head)
-        replacements[ea] = [s1, ("cut", first), s2, ("cut", second), s3]
-    else:
-        for j, eid in ((1, ea), (2, eb)):
-            e = d.edges[eid]
-            p = fresh_marker()
-            q = fresh_marker()
-            head_piece = fresh_edge(e.tail, p)
-            tail_piece = fresh_edge(q, e.head)
-            replacements[eid] = [head_piece, ("cut", j), tail_piece]
+    for eid, points in cuts.items():
+        e = d.edges[eid]
+        ends = [e.tail, *(fresh_marker() for _ in range(2 * len(points))),
+                e.head]
+        pieces = [fresh_edge(t, h) for t, h in zip(ends[::2], ends[1::2])]
+        body = [pieces[0]]
+        for (_, j), piece in zip(sorted(points), pieces[1:]):
+            body += [("cut", j), piece]
+        replacements[eid] = body
 
     def substitute(cyc: tuple[int, ...]) -> list:
         out = []

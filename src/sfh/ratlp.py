@@ -8,29 +8,27 @@ x = 0 is feasible and the slack basis is a starting vertex; the simplex
 starts there, and so it takes only b >= 0.
 
 The one entry point solves:  maximize c.x  subject to  a x <= b,  x free,
-with b >= 0, and returns an optimal point with optimal duals.
+with b >= 0, and returns an optimal point with optimal duals.  Its one
+caller's program is bounded, so an unbounded one raises.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-
 
 @dataclass
 class LPResult:
-    """When OPTIMAL, dual holds y >= 0 per row of a: y.a = c, y.b = objective."""
-    status: str
-    objective: Fraction | None
-    x: list[Fraction] | None
-    dual: list[Fraction] | None = None
+    """An optimum; dual holds y >= 0 per row of a: y.a = c, y.b = objective."""
+    objective: Fraction
+    x: list[Fraction]
+    dual: list[Fraction]
 
 
 def maximize(c: list, a: list[list], b: list) -> LPResult:
     """Maximize c.x over {x free : a x <= b}, starting at x = 0.  All data
-    coerced to Fraction; raises ValueError unless b >= 0."""
+    coerced to Fraction; raises ValueError unless b >= 0, and when c.x is
+    unbounded above."""
     m = len(a)
     n = len(c)
     c = [Fraction(v) for v in c]
@@ -62,7 +60,7 @@ def maximize(c: list, a: list[list], b: list) -> LPResult:
                 if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
                     best = (ratio, i)
         if best is None:
-            return LPResult(UNBOUNDED, None, None)
+            raise ValueError("maximize found c.x unbounded above")
         r = best[1]
         piv = rows[r][col]
         rows[r] = [v / piv for v in rows[r]]
@@ -82,4 +80,4 @@ def maximize(c: list, a: list[list], b: list) -> LPResult:
         xs[basis[i]] = rhs[i]
     x = [xs[j] - xs[n + j] for j in range(n)]
     # duals: the slacks' reduced costs
-    return LPResult(OPTIMAL, objval, x, objrow[2 * n:])
+    return LPResult(objval, x, objrow[2 * n:])

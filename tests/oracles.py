@@ -15,7 +15,8 @@ scans behind the defect rows and ``Diagram.crossing_curves``, validation
 with one walk of the region cycles per table, each generator's class
 key and particular solution read off the Smith form, the coset walk that
 bounds only the lead row, the admissibility LP run on every periodic
-lattice, the GF(2) rank that reduces against the whole basis, and d^2
+lattice, the reduced echelon form of a lattice by its own echelon loop
+(``reduced_columns``), the GF(2) rank that reduces against the whole basis, and d^2
 over every column.  The Maslov index checked against the
 defect rows (``maslov_index`` with ``defect_rhs``) is the reference for
 the library's unchecked quarter-index sums, which take only domains that
@@ -186,6 +187,50 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 for j in range(cols):
                     oi[j] += c * bk[j]
     return out
+
+
+def reduced_columns(vectors) -> list[list[int]]:
+    """The reduced column Hermite form of the lattice the vectors span, by
+    its own dense echelon loop: ``intlinalg.hermite_columns`` as it was
+    before it read the form off the Hermite factorization.
+
+    Returns the nonzero columns as new lists, each with positive leading
+    entry, echeloned by leading row, and each column's entry at every later
+    column's leading row reduced into [0, that column's leading entry).
+    """
+    cols = [list(c) for c in vectors]
+    n = len(cols[0]) if cols else 0
+    done = []
+    for row in range(n):
+        if not cols:
+            break
+        # gcd-reduce all columns with a nonzero entry in this row into one
+        while True:
+            live = [c for c in cols if c[row] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda c: abs(c[row]))
+            base = live[0]
+            for c in live[1:]:
+                q = c[row] // base[row]
+                for i in range(n):
+                    c[i] -= q * base[i]
+        if live:
+            c = live[0]
+            if c[row] < 0:
+                for i in range(n):
+                    c[i] = -c[i]
+            # bring each earlier column's entry in this row into [0, lead);
+            # c is zero above this row, so their entries at earlier leads
+            # stay as they were reduced
+            for prev in done:
+                q = prev[row] // c[row]
+                if q:
+                    for i in range(row, n):
+                        prev[i] -= q * c[i]
+            done.append(c)
+            cols.remove(c)
+    return done
 
 
 # -- the Smith form with dense rows and full scans ------------------------------

@@ -156,7 +156,8 @@ def test_criterion_09_d_squared():
             if not computable(d):
                 continue
             for cls in spinc_partition(d):
-                verify_d_squared(d, cls.members)
+                verify_d_squared(d, cls.members,
+                                 boundary_matrix(d, cls.members))
 
 
 def test_criterion_10_admissibility():

@@ -218,7 +218,8 @@ def test_boundary_drops_grading_by_one():
 def test_verify_d_squared_corpus():
     for d in _nice_variants():
         for cls in spinc_partition(d):
-            verify_d_squared(d, cls.members)  # must not raise
+            rows = boundary_matrix(d, cls.members)
+            verify_d_squared(d, cls.members, rows)  # must not raise
 
 
 def test_verify_d_squared_rejects_broken_matrix():
@@ -361,12 +362,13 @@ def test_sfh_error_paths():
         sfh(broken)
 
 
-def _count_calls(monkeypatch, owner, name) -> list[int]:
+def _count_calls(monkeypatch, owner, name) -> list[tuple]:
+    """Record the arguments of every call to owner.name."""
     calls = []
     original = getattr(owner, name)
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args)
         return original(*args)
 
     monkeypatch.setattr(owner, name, counting)
@@ -379,16 +381,24 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
     union = disjoint_union(spheres, lens)
     factored = _count_calls(monkeypatch, intlinalg, "hermite_factorization")
     lps = _count_calls(monkeypatch, ratlp, "maximize")
+
+    def factorizations(d):
+        # the factorizations of d's defect rows, and all of them: the
+        # periodic basis factors the kernel once more where it is not empty
+        return sum(args[0] is d.defects.rows for args in factored), \
+            len(factored)
+
     # no admissibility program where every periodic basis vector sums to 0
     # (all-ones is then an area form), and none for the positive-domain
-    # searches
+    # searches; the lens kernel is empty, so nothing else is factored
     for d, programs in ((spheres, 0), (lens, 0), (union, 0)):
         factored.clear()
         lps.clear()
-        sfh(d)
-        assert (len(factored), len(lps)) == (1, programs)
-        sfh(d)  # the same diagram object keeps its factorization
-        assert (len(factored), len(lps)) == (1, programs)
+        for _ in range(2):  # the same diagram object keeps its factorization
+            sfh(d)
+            rows, total = factorizations(d)
+            assert (rows, len(lps)) == (1, programs)
+            assert total == 1 if d is lens else total <= 2
     # any other lattice gets exactly one program, which finds the witness
     disjoint = build_example("s1s2_disjoint")
     factored.clear()
@@ -398,7 +408,8 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
             sfh(disjoint)
         assert exc.value.witness.is_nonnegative()
         assert not exc.value.witness.is_zero()
-        assert (len(factored), len(lps)) == (1, 1)
+        rows, total = factorizations(disjoint)
+        assert (rows, len(lps)) == (1, 1) and total <= 2
     # at most one particular solution per generator, counted on fresh
     # diagrams; the lens classes are singletons, so no key ever matches
     # another and no generator needs one
@@ -462,8 +473,12 @@ def test_cli_compute_factors_the_defect_matrix_once(monkeypatch, capsys):
     diagrams = Path(__file__).resolve().parent.parent / "diagrams"
     assert cli.main(["compute", str(diagrams / "spheres_3.shd")]) == 0
     assert "total 4" in capsys.readouterr().out
-    assert len(factored) == 1
     assert len(checks) == 1  # the CLI and sfh() share one validation
+    # one factorization of the defect rows; the periodic basis factors the
+    # kernel once more
+    d = checks[0][0]
+    assert sum(args[0] is d.defects.rows for args in factored) == 1
+    assert len(factored) <= 2
 
 
 def test_graded_euler_characteristic_matches_complex():

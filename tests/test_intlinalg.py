@@ -9,7 +9,8 @@ from sfh import intlinalg
 from sfh.builders import build_example
 from sfh.moves import permute_ids
 
-from oracles import dense_smith_normal_form, mat_mul, mat_vec, solve
+from oracles import (dense_smith_normal_form, mat_mul, mat_vec, reduced_columns,
+                     solve)
 
 
 def _dense(a, pivots, kernel, n):
@@ -313,6 +314,49 @@ def test_hermite_columns_canonical():
     # reduced into [0, 1)
     assert intlinalg.hermite_columns([[1, 1], [0, 1]]) == [[1, 0], [0, 1]]
     assert intlinalg.hermite_columns([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+
+
+def test_hermite_columns_match_the_dense_echelon_loop():
+    # random generating sets, among them dependent ones, zero vectors and
+    # more vectors than rows, then the kernels of the defect matrices; the
+    # form read off the factorization is the oracle's, and shuffling the
+    # generators or adding one to another leaves it unchanged
+    rng = random.Random(27)
+    kinds = set()
+    for _ in range(1500):
+        n, k = rng.randint(1, 6), rng.randint(0, 9)
+        vecs = []
+        for _ in range(k):
+            roll = rng.random()
+            if roll < 0.15:
+                vecs.append([0] * n)
+            elif roll < 0.35 and vecs:
+                a, b = rng.choice(vecs), rng.choice(vecs)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                vecs.append([s * x + t * y for x, y in zip(a, b)])
+            else:
+                vecs.append([rng.choice((0, 0, 1, -1, 2, -3, 4, 6))
+                             for _ in range(n)])
+        got = intlinalg.hermite_columns(vecs)
+        assert got == reduced_columns(vecs), vecs
+        kinds.add(("dependent", len(got) < k))
+        kinds.add(("zero", [0] * n in vecs))
+        kinds.add(("wide", k > n))
+        if len(vecs) > 1:
+            moved = vecs[:]
+            rng.shuffle(moved)
+            moved[0] = [x + y for x, y in zip(moved[0], moved[1])]
+            assert intlinalg.hermite_columns(moved) == got, vecs
+    assert kinds >= {("dependent", True), ("zero", True), ("wide", True)}
+    kernels = 0
+    for d in setup_diagrams():
+        n = len(d.interior_regions)
+        kernel = [[u.get(j, 0) for j in range(n)] for u in
+                  intlinalg.hermite_factorization(d.defects.rows, n)[1]]
+        assert intlinalg.hermite_columns(kernel) == reduced_columns(kernel), \
+            d.name
+        kernels += 1
+    assert kernels == 138
 
 
 def test_empty_shapes():

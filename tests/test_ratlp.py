@@ -65,7 +65,6 @@ def test_simplex_matches_vertex_enumeration():
         res = ratlp.maximize(c, a, b)
         # b >= 0 holds x = 0, and the box bounds the set, so a vertex wins
         want = _oracle_max(c, a, b)
-        assert res.status == ratlp.OPTIMAL
         assert res.objective == want
         # reported point is feasible and achieves the objective
         assert all(
@@ -83,10 +82,10 @@ def test_simplex_matches_vertex_enumeration():
 
 
 def test_unbounded_detected():
-    res = ratlp.maximize([1], [[-1]], [0])  # max x, x >= 0
-    assert res.status == ratlp.UNBOUNDED
-    res = ratlp.maximize([1, 0], [[-1, 0], [0, 1], [0, -1]], [0, 1, 1])
-    assert res.status == ratlp.UNBOUNDED
+    with pytest.raises(ValueError, match="unbounded"):
+        ratlp.maximize([1], [[-1]], [0])  # max x, x >= 0
+    with pytest.raises(ValueError, match="unbounded"):
+        ratlp.maximize([1, 0], [[-1, 0], [0, 1], [0, -1]], [0, 1, 1])
 
 
 def test_negative_rhs_rejected():
@@ -98,8 +97,6 @@ def test_negative_rhs_rejected():
 def test_exact_fractions():
     # optimum at a non-integer vertex: x = 3/2 from 2x <= 3
     res = ratlp.maximize([1], [[2]], [3])
-    assert res.status == ratlp.OPTIMAL
     assert res.objective == Fraction(3, 2)
     res = ratlp.maximize([1], [[2], [-1]], [3, 0])
-    assert res.status == ratlp.OPTIMAL
     assert res.objective == Fraction(3, 2)
