@@ -30,11 +30,13 @@ periodic basis vector sums to 0, all-ones is one, and that certifies
 admissibility without a program; otherwise one exact LP decides it and its
 duals give the form.  All domains from x to y then share the area A = w.D,
 so a nonnegative one has 0 <= D_r <= A // w_r, which bounds an integer walk
-over the periodic basis; the walk bounds every row as soon as its choices
-make the row final, so it takes no step it would later reject.  The walk's
-answer depends only on the coset, which the canonical connecting domain
-names, so each coset is walked once per diagram and its nonnegative domains
-are kept for every later pair that shares it.
+over the periodic basis.  A coset with A < 0 has no nonnegative domain, nor
+one with A = 0 other than the lattice itself, so those are not walked.  The
+walk bounds every row as soon as its choices make the row final, at the
+last basis vector that touches it, so it takes no step it would later
+reject.  The walk's answer depends only on the coset, which the canonical
+connecting domain names, so each coset is walked once per diagram and its
+nonnegative domains are kept for every later pair that shares it.
 """
 from __future__ import annotations
 
@@ -178,7 +180,8 @@ class DefectSystem:
             self.rows, len(self.diagram.interior_regions))
 
     def _potential(self, g: Generator) -> list:
-        g = tuple(g)
+        if not isinstance(g, tuple):
+            g = tuple(g)
         pot = self._potentials.get(g)
         if pot is None:
             _check_generator(self.diagram, g)
@@ -270,79 +273,106 @@ class DefectSystem:
         return tuple(int(v * scale) for v in w)
 
     @cached_property
-    def _echelon(self) -> list[tuple[int, int, list, list]]:
-        """Each periodic basis vector j as its lead (first nonzero) row,
-        its positive lead entry, its nonzero (row, entry) pairs, and (row,
-        entry) for each later row that choosing t_j makes final in
-        ``_walk``: the rows before the next vector's lead, or up to the
-        end."""
+    def _echelon(self) -> tuple[list[tuple[int, int, list, list]], list[int]]:
+        """Each periodic basis vector j as its lead (first nonzero) row, its
+        positive lead entry, its nonzero (row, entry) pairs, and (row,
+        entry) for each later row whose last nonzero basis entry is j's:
+        the rows that choosing t_j makes final in ``_walk``.  Then the rows
+        no basis vector touches, final from the start."""
         basis = [b.coeffs for b in self.periodic]
-        leads = [next(i for i, c in enumerate(b) if c) for b in basis]
-        ends = [*leads[1:], len(self.diagram.interior_regions)]
-        return [(lead, b[lead], [(r, c) for r, c in enumerate(b) if c],
-                 [(r, b[r]) for r in range(lead + 1, end)])
-                for b, lead, end in zip(basis, leads, ends)]
+        last = {r: j for j, b in enumerate(basis) for r, c in enumerate(b) if c}
+        vectors = []
+        for j, b in enumerate(basis):
+            terms = [(r, c) for r, c in enumerate(b) if c]
+            lead, p = terms[0]
+            vectors.append((lead, p, terms,
+                            [(r, c) for r, c in terms[1:] if last[r] == j]))
+        untouched = [r for r in range(len(self.diagram.interior_regions))
+                     if r not in last]
+        return vectors, untouched
 
-    def nonnegative(self, base: Domain) -> tuple[Domain, ...]:
+    def _base(self, x: Generator, y: Generator) -> tuple[int, ...] | None:
+        """Coefficients of the canonical domain from x to y, or None when
+        the pair is disconnected (see ``connecting_domain``)."""
+        px, py = self._potential(x), self._potential(y)
+        if px[0] != py[0]:
+            return None
+        sol = [b - a for a, b in zip(self._particular(px), self._particular(py))]
+        for lead, p, terms, _ in self._echelon[0]:
+            q = sol[lead] // p
+            if q:
+                for i, c in terms:
+                    sol[i] -= q * c
+        return tuple(sol)
+
+    def nonnegative(self, base: tuple[int, ...]) -> tuple[Domain, ...]:
         """The nonnegative domains of base's coset, ordered by coefficients;
-        base must be canonical, as ``connecting_domain`` returns it, and the
-        diagram admissible."""
-        found = self._cosets.get(base.coeffs)
+        base must be canonical, as ``_base`` returns it, and the diagram
+        admissible."""
+        found = self._cosets.get(base)
         if found is None:
-            found = self._cosets[base.coeffs] = self._walk(base.coeffs)
+            found = self._cosets[base] = self._walk(base)
         return found
 
     def _walk(self, base: tuple[int, ...]) -> tuple[Domain, ...]:
-        """The nonnegative D = base + sum t_j basis_j, sorted by coefficients.
+        """The nonnegative D = base + sum t_j basis_j, sorted by
+        coefficients; base must be canonical.
 
-        Basis vector j starts at its lead row, so the rows from there up to
-        the next vector's lead (for the last vector, up to the end) are
-        final once t_0..t_j are chosen, and t_j is taken only from the
-        interval that keeps every one of them within [0, A // w_r]; rows
-        above the first lead are base's.  So every step the walk takes is
-        kept.
+        Every such D has the coset's area A = w.base, so none exists when
+        A < 0, and when A = 0 only D = 0 could, which lies in the coset
+        exactly when its canonical base is 0.  Otherwise a row becomes
+        final once t_j is chosen for the last basis vector j that touches
+        it, and t_j is taken only from the interval that keeps every row
+        final at j within [0, A // w_r]; rows no vector touches are base's,
+        checked once.  So every step the walk takes is kept.  Leads are
+        positive and increase with j, so taking each t_j in increasing
+        order yields the domains already sorted.
         """
-        # depth first, without recursion: each stack entry is a partial D,
-        # the index of the basis vector its children add and the steps t
-        # not yet tried
-        basis, w, echelon = self.periodic, self.area, self._echelon
+        w = self.area
         area = sum(a * c for a, c in zip(w, base))
-        caps = [area // v for v in w]
-        top = echelon[0][0] if basis else len(base)
-        if any(not 0 <= base[r] <= caps[r] for r in range(top)):
+        if area < 0 or not area and any(base):
             return ()
-        if not basis:
+        vectors, untouched = self._echelon
+        caps = [area // v for v in w]
+        if any(not 0 <= base[r] <= caps[r] for r in untouched):
+            return ()
+        if not vectors:
             return (Domain(self.diagram, base),)
 
         def steps(cur: list[int], j: int) -> range:
-            lead, p, _, rest = echelon[j]
+            lead, p, _, final = vectors[j]
             c = cur[lead]
             lo, hi = -(c // p), (caps[lead] - c) // p
-            for r, k in rest:
+            for r, k in final:
                 c = cur[r]
                 if k > 0:
                     lo, hi = max(lo, -(c // k)), min(hi, (caps[r] - c) // k)
-                elif k < 0:
+                else:
                     lo, hi = max(lo, -((caps[r] - c) // -k)), min(hi, c // -k)
-                elif not 0 <= c <= caps[r]:
-                    return range(0)
             return range(lo, hi + 1)
 
-        last = len(basis) - 1
+        # depth first, without recursion: each stack entry is a partial D,
+        # the index of the basis vector its children add and the steps t
+        # not yet tried
+        last = len(vectors) - 1
         out = []
-        stack = [(base, 0, iter(steps(base, 0)))]
+        cur = list(base)
+        stack = [(cur, 0, iter(steps(cur, 0)))]
         while stack:
             cur, j, ts = stack[-1]
             t = next(ts, None)
             if t is None:
                 stack.pop()
                 continue
-            nxt = [a + t * b for a, b in zip(cur, basis[j].coeffs)] if t else cur
+            nxt = cur
+            if t:
+                nxt = cur.copy()
+                for i, c in vectors[j][2]:
+                    nxt[i] += t * c
             if j == last:
                 out.append(Domain(self.diagram, nxt))
             else:
                 stack.append((nxt, j + 1, iter(steps(nxt, j + 1))))
-        out.sort(key=lambda dom: dom.coeffs)
         return tuple(out)
 
 
@@ -382,17 +412,8 @@ def connecting_domain(d: Diagram, x: Generator, y: Generator) -> Domain | None:
     representative is normalized against the echelon basis, so equal cosets
     always yield the same domain.
     """
-    ds = d.defects
-    px, py = ds._potential(x), ds._potential(y)
-    if px[0] != py[0]:
-        return None
-    sol = [b - a for a, b in zip(ds._particular(px), ds._particular(py))]
-    for lead, p, terms, _ in ds._echelon:
-        q = sol[lead] // p
-        if q:
-            for i, c in terms:
-                sol[i] -= q * c
-    return Domain(d, sol)
+    sol = d.defects._base(x, y)
+    return None if sol is None else Domain(d, sol)
 
 
 # -- admissibility -----------------------------------------------------------
@@ -433,7 +454,7 @@ def positive_connecting_domains(d: Diagram, x: Generator,
     diagram (``DefectSystem.nonnegative``).  The list is new on every call,
     but its Domains are shared and must not be modified."""
     require_admissible(d)
-    base = connecting_domain(d, x, y)
+    base = d.defects._base(x, y)
     if base is None:
         return []
     return list(d.defects.nonnegative(base))

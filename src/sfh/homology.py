@@ -62,9 +62,14 @@ def boundary_matrix(d: Diagram, members: tuple[Generator, ...]) -> list[int]:
     representative (Sarkar-Wang, Thm 3.3), so counting the domains counts
     the discs.  A domain has index 1 when w.D = 4 for the pair's
     ``index_weights`` w, built only for pairs that have a nonnegative
-    domain.
+    domain.  Two domains of one pair differ by a periodic P, and
+    mu(D + P) = mu(D) + mu(P); when the class's grading modulus is 0, every
+    mu(P) is 0, so all of a pair's domains share one index and one sum
+    decides them all.  The modulus is computed only once some pair has
+    more than one domain; under a nonzero modulus each domain is summed.
     """
     rows = []
+    modulus = None
     for x in members:
         row = 0
         for j, y in enumerate(members):
@@ -74,8 +79,15 @@ def boundary_matrix(d: Diagram, members: tuple[Generator, ...]) -> list[int]:
             if not doms:
                 continue
             w = index_weights(d, x, y)
-            count = sum(1 for dom in doms
-                        if sum(a * c for a, c in zip(w, dom.coeffs)) == 4)
+            if len(doms) > 1 and modulus is None:
+                modulus = grading_modulus(d, min(members))
+            if modulus:
+                count = sum(1 for dom in doms
+                            if sum(a * c for a, c in zip(w, dom.coeffs)) == 4)
+            elif sum(a * c for a, c in zip(w, doms[0].coeffs)) == 4:
+                count = len(doms)
+            else:
+                continue
             if count % 2:
                 row |= 1 << j
         rows.append(row)

@@ -20,7 +20,8 @@ lattice, the reduced echelon form of a lattice by its own echelon loop
 over every column.  The Maslov index checked against the
 defect rows (``maslov_index`` with ``defect_rhs``) is the reference for
 the library's unchecked quarter-index sums, which take only domains that
-connect their pair.
+connect their pair.  Each coset's nonnegative domains are also listed
+from the box that its area allows (``box_walk``), with no walk at all.
 A few helpers that only tests call live here too, among them the corners
 at each crossing in cyclic order (``quadrants``).
 """
@@ -760,6 +761,42 @@ def reference_walk(ds: DefectSystem,
             stack.pop()
     out.sort(key=lambda dom: dom.coeffs)
     return tuple(out)
+
+
+def box_walk(ds: DefectSystem, base: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The nonnegative domains of base's coset by enumeration, in
+    lexicographic order: every vector of the box 0 <= D_r <= A // w_r (w the
+    area form, A = w.base) whose difference from base lies in the periodic
+    lattice.  Periodic domains have area 0, so only the box's vectors of
+    area A are listed and tested; membership reduces the difference by the
+    echelon basis, which must divide each lead exactly and leave 0."""
+    basis, w = [b.coeffs for b in ds.periodic], ds.area
+    area = sum(a * c for a, c in zip(w, base))
+    if area < 0:
+        return []
+
+    def member(vec: list[int]) -> bool:
+        for b in basis:
+            lead = next(i for i, c in enumerate(b) if c)
+            q, rem = divmod(vec[lead], b[lead])
+            if rem:
+                return False
+            vec = [a - q * c for a, c in zip(vec, b)]
+        return not any(vec)
+
+    out = []
+
+    def fill(prefix: list[int], left: int) -> None:
+        r = len(prefix)
+        if r == len(w):
+            if not left and member([a - b for a, b in zip(prefix, base)]):
+                out.append(tuple(prefix))
+            return
+        for c in range(min(area // w[r], left // w[r]) + 1):
+            fill(prefix + [c], left - c * w[r])
+
+    fill([], area)
+    return out
 
 
 def admissibility_program(ds: DefectSystem) -> ratlp.LPResult:

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
-from sfh import ratlp
+from sfh import intlinalg, ratlp
 from sfh.builders import BUILDERS, build_example
 from sfh.diagram import ALPHA, BETA, enumerate_generators
 from sfh.domains import (
@@ -24,7 +25,8 @@ from sfh.domains import (
 from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
 from sfh.shd import parse, serialize
 
-from oracles import (admissibility_program, brute_force_positive_domains,
+from oracles import (admissibility_program, box_walk,
+                     brute_force_positive_domains,
                      connects, coset_bases, curve_multiplicities, defect_rhs,
                      dense_potential, maslov_index, per_crossing_curves,
                      normalized, per_crossing_defect_system,
@@ -408,6 +410,65 @@ def test_positive_domains_under_a_nonuniform_area():
                 cap = max(sum(base.coeffs), 0) if base is not None else 0
                 want = brute_force_positive_domains(d, x, y, min(cap, limit))
                 assert got == want, (x, y)
+
+
+def _reduced(basis: list[list[int]], vec: list[int]) -> tuple[int, ...]:
+    """vec reduced by the echelon basis: the canonical member of its coset,
+    each lead brought into [0, that lead's entry)."""
+    vec = list(vec)
+    for b in basis:
+        lead = next(i for i, c in enumerate(b) if c)
+        q = vec[lead] // b[lead]
+        vec = [a - q * c for a, c in zip(vec, b)]
+    return tuple(vec)
+
+
+def _exchanges(rng: random.Random, w: list[int]) -> list[int]:
+    """A random vector of area 0 under w: a sum of a few exchanges
+    k (w_b e_a - w_a e_b)."""
+    v = [0] * len(w)
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(range(len(w)), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        v[a] += k * w[b]
+        v[b] -= k * w[a]
+    return v
+
+
+def test_walk_on_planted_lattices_whose_rows_overlap():
+    # no packaged lattice has a row touched by two basis vectors, so plant
+    # reduced echelon bases of random lattices with area 0 under random
+    # positive weights, and walk canonical bases of positive, zero and
+    # negative area
+    rng = random.Random(28)
+    overlapping = 0
+    areas = {"positive": 0, "zero": 0, "zero base": 0, "negative": 0}
+    for _ in range(80):
+        d = build_example("spheres", [rng.choice((4, 5))])
+        n = len(d.interior_regions)
+        w = [rng.randint(1, 3) for _ in range(n)]
+        basis = intlinalg.hermite_columns(
+            _exchanges(rng, w) for _ in range(rng.randint(1, n - 1)))
+        ds = d.defects
+        ds.periodic = tuple(Domain(d, c) for c in basis)
+        ds.area = tuple(w)
+        touched = [sum(1 for b in basis if b[r]) for r in range(n)]
+        overlapping += max(touched, default=0) > 1
+        bases = {(0,) * n}
+        for _ in range(6):
+            bases.add(_reduced(basis, [rng.randint(-1, 2) for _ in range(n)]))
+            bases.add(_reduced(basis, _exchanges(rng, w)))
+        for base in sorted(bases):
+            area = sum(a * c for a, c in zip(w, base))
+            if area > 12:  # keeps the box small
+                continue
+            got = ds._walk(base)
+            assert got == reference_walk(ds, base), (basis, w, base)
+            assert [dom.coeffs for dom in got] == box_walk(ds, base)
+            areas["positive" if area > 0 else "negative" if area < 0
+                  else "zero" if any(base) else "zero base"] += 1
+    assert overlapping >= 40, overlapping
+    assert min(areas.values()) >= 20, areas
 
 
 def test_positive_domains_require_admissible():
