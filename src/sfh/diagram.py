@@ -75,10 +75,6 @@ class Corner(NamedTuple):
     end_out: End
 
 
-def ref_edge(ref: int) -> int:
-    return abs(ref)
-
-
 class Diagram:
     """Immutable by convention: moves build new diagrams, never edit one."""
 
@@ -451,10 +447,6 @@ def balance_report(d: Diagram) -> list[str]:
                     f"component {sorted(comp)} of the complement of the "
                     f"{cut} circles misses the boundary")
     return problems
-
-
-def is_balanced(d: Diagram) -> bool:
-    return not balance_report(d)
 
 
 # -- generators --------------------------------------------------------------

@@ -430,10 +430,6 @@ def admissibility(d: Diagram) -> tuple[bool, Domain | None]:
     return d.defects.admissibility
 
 
-def is_admissible(d: Diagram) -> bool:
-    return d.defects.admissibility[0]
-
-
 def require_admissible(d: Diagram) -> None:
     ok, witness = d.defects.admissibility
     if not ok:

@@ -39,10 +39,6 @@ def niceness_report(d: Diagram) -> list[str]:
     return problems
 
 
-def is_nice(d: Diagram) -> bool:
-    return not niceness_report(d)
-
-
 def require_nice(d: Diagram) -> None:
     problems = niceness_report(d)
     if problems:

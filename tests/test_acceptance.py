@@ -19,15 +19,16 @@ from sfh.diagram import (ALPHA, BD, BETA, Diagram, balance_report,
                          enumerate_generators)
 from sfh.domains import (Domain, NotAdmissibleError, admissibility,
                          connecting_domain, defect_system, h2_rank,
-                         is_admissible, periodic_basis,
-                         positive_connecting_domains, require_admissible)
-from sfh.homology import (NotNiceError, boundary_matrix, is_nice, sfh,
+                         periodic_basis, positive_connecting_domains,
+                         require_admissible)
+from sfh.homology import (NotNiceError, boundary_matrix, niceness_report, sfh,
                           verify_d_squared)
-from sfh.moves import ProductArc, cut_product_arc, delete_curve_pair, stabilize
+from sfh.moves import stabilize
 from sfh.spinc import grading_modulus, spinc_partition
 
 from oracles import (brute_force_boundary_matrix, brute_force_positive_domains,
                      maslov_index)
+from surgery import ProductArc, cut_product_arc, delete_curve_pair
 
 
 def corpus() -> list[Diagram]:
@@ -47,7 +48,7 @@ def corpus() -> list[Diagram]:
 def computable(d: Diagram) -> bool:
     # the two negative examples: s1s2_disjoint fails admissibility and the
     # hexagon fails niceness, so the count itself is undefined on them
-    return is_admissible(d) and is_nice(d)
+    return admissibility(d)[0] and not niceness_report(d)
 
 
 @contextmanager
@@ -181,7 +182,7 @@ def test_criterion_10_admissibility():
                         break  # the deletion would close off the surface
                     subdiagrams += 1
                     if not periodic_basis(d):
-                        assert is_admissible(d)
+                        assert admissibility(d)[0]
         assert subdiagrams >= 20
 
         d = s1s2_disjoint()
@@ -199,10 +200,10 @@ def test_criterion_10_admissibility():
 def test_criterion_11_oracle_equivalence():
     with criterion(11, "counts agree with brute-force enumeration"):
         for d in corpus():
-            if len(d.interior_regions) > 6 or not is_admissible(d):
+            if len(d.interior_regions) > 6 or not admissibility(d)[0]:
                 continue
             for cls in spinc_partition(d):
-                if is_nice(d):
+                if not niceness_report(d):
                     assert boundary_matrix(d, cls.members) == \
                         brute_force_boundary_matrix(d, cls.members)
                 for x, y in itertools.product(cls.members, repeat=2):

@@ -5,7 +5,7 @@ import pytest
 
 from sfh import shd
 from sfh.builders import BUILDERS, build_example
-from sfh.diagram import enumerate_generators, is_balanced
+from sfh.diagram import balance_report, enumerate_generators
 
 # (builder, params) -> (euler characteristic, #generators)
 SHAPES = {
@@ -41,7 +41,7 @@ def test_builder_shape(key):
     d.validate()
     assert d.euler_characteristic() == chi
     assert len(enumerate_generators(d)) == gens
-    assert is_balanced(d)
+    assert balance_report(d) == []
     assert d.alpha_count == d.beta_count
 
 

@@ -17,7 +17,6 @@ from sfh.domains import (
     connecting_domain,
     defect_system,
     h2_rank,
-    is_admissible,
     periodic_basis,
     positive_connecting_domains,
     require_admissible,
@@ -274,13 +273,13 @@ def test_corpus_admissibility():
                           else [])
         ok, witness = admissibility(d)
         assert ok and witness is None, name
-        assert is_admissible(d)
+        assert admissibility(d)[0]
         require_admissible(d)  # must not raise
     # the area form: positive integers under which periodic domains have
     # area zero, on the corpus, its move variants and disjoint unions
     checked = 0
     for d in _area_variants():
-        if not is_admissible(d):
+        if not admissibility(d)[0]:
             continue
         w = d.defects.area
         assert len(w) == len(d.interior_regions), d.name

@@ -15,7 +15,7 @@ from sfh.diagram import (ALPHA, BD, BETA, CROSSING, Diagram, Edge,
 from sfh.domains import (DefectSystem, Domain, NotAdmissibleError,
                          connecting_domain, positive_connecting_domains)
 from sfh.homology import (ClassHomology, NotNiceError, SFHResult,
-                          boundary_matrix, class_homology, is_nice,
+                          boundary_matrix, class_homology,
                           niceness_report, require_nice, sfh,
                           verify_d_squared)
 from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
@@ -81,7 +81,7 @@ def _nice_variants():
 def test_niceness_catalog():
     for name, params in NICE_CORPUS:
         d = build_example(name, params)
-        assert is_nice(d), (name, niceness_report(d))
+        assert niceness_report(d) == [], name
         require_nice(d)
 
 
@@ -89,7 +89,7 @@ def test_hexagon_is_not_nice():
     d = build_example("hexagon", [])
     report = niceness_report(d)
     assert report == ["interior region 1 has 6 corners; want 2 or 4"]
-    assert not is_nice(d)
+    assert report
     with pytest.raises(NotNiceError, match="6 corners"):
         require_nice(d)
 
@@ -159,7 +159,7 @@ def test_rigid_matches_polygon_gluing_oracle():
     # oracle recognizes; and the pair's weights give four times the index
     index1 = 0
     for d in _nice_variants():
-        assert is_nice(d), d.name
+        assert niceness_report(d) == [], d.name
         for x, y in itertools.permutations(enumerate_generators(d), 2):
             w = index_weights(d, x, y)
             for dom in positive_connecting_domains(d, x, y):

@@ -9,8 +9,9 @@ from sfh.diagram import (ALPHA, BD, BETA, CROSSING, Diagram, Edge,
                          enumerate_generators)
 from sfh.domains import h2_rank
 from sfh.homology import NotNiceError, sfh
-from sfh.moves import (ProductArc, cut_product_arc, delete_curve_pair,
-                       disjoint_union, insert_marker, permute_ids, stabilize)
+from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
+
+from surgery import ProductArc, cut_product_arc, delete_curve_pair
 
 SFH_CORPUS = [
     ("product", [1, 1]),
