@@ -30,13 +30,18 @@ periodic basis vector sums to 0, all-ones is one, and that certifies
 admissibility without a program; otherwise one exact LP decides it and its
 duals give the form.  All domains from x to y then share the area A = w.D,
 so a nonnegative one has 0 <= D_r <= A // w_r, which bounds an integer walk
-over the periodic basis.  A coset with A < 0 has no nonnegative domain, nor
-one with A = 0 other than the lattice itself, so those are not walked.  The
-walk bounds every row as soon as its choices make the row final, at the
-last basis vector that touches it, so it takes no step it would later
-reject.  The walk's answer depends only on the coset, which the canonical
-connecting domain names, so each coset is walked once per diagram and its
-nonnegative domains are kept for every later pair that shares it.
+over the periodic basis.  A is linear in the generators: A = a(y) - a(x),
+where a(g) = w.u c(g) is the area of g's particular solution, kept in g's
+potential once a pair search first needs it.  So A is read from the two
+potentials before any domain is formed: a pair with A < 0 has no
+nonnegative domain, nor one with A = 0 unless x and y are the same point
+set, whose only one is the zero domain; such pairs get no domain, no
+reduction and no walk.  The walk bounds every row as soon as its choices
+make the row final, at the last basis vector that touches it, so it takes
+no step it would later reject.  The walk's answer depends only on the
+coset, which the canonical connecting domain names, so each coset is
+walked once per diagram and its nonnegative domains are kept for every
+later pair that shares it.
 """
 from __future__ import annotations
 
@@ -129,11 +134,12 @@ class Domain:
 class DefectSystem:
     """One diagram's defect matrix and what derives from it: the column
     Hermite factorization, each generator's potential, the echelon periodic
-    basis, the admissibility verdict, the area form and each coset's
-    nonnegative domains, each built at most once, on first use.  euler and
-    quads give four times the Maslov index in integers: 4 e(r) minus its
-    crossing corners per interior region r, and per crossing the columns of
-    its interior quadrants (combined per pair by ``spinc.index_weights``).
+    basis, the admissibility verdict, the area form, each coset's
+    nonnegative domains and each class's grading modulus, each built at
+    most once, on first use.  euler and quads give four times the Maslov
+    index in integers: 4 e(r) minus its crossing corners per interior region
+    r, and per crossing the columns of its interior quadrants (combined per
+    pair by ``spinc.index_weights``).
     The diagram holds this object as ``Diagram.defects``; rows and labels
     are described at ``defect_system``.  Everything here is shared and must
     not be modified.
@@ -142,10 +148,12 @@ class DefectSystem:
     def __init__(self, d: Diagram):
         self.diagram = d
         # generator -> [class key, c(g) as (pivot, coefficient) pairs,
-        # u c(g) or None until needed]
+        # u c(g) or None until needed, a(g) = w.u c(g) or None until needed]
         self._potentials: dict[tuple[int, ...], list] = {}
         # canonical base coefficients -> the coset's nonnegative domains
         self._cosets: dict[tuple[int, ...], tuple[Domain, ...]] = {}
+        # generator -> its class's grading modulus (``spinc.grading_modulus``)
+        self.moduli: dict[Generator, int] = {}
         order = d.interior_regions
         col = {r: i for i, r in enumerate(order)}
         self.euler = [4 * d.regions[r].euler() - d.crossing_corner_count[r]
@@ -187,7 +195,7 @@ class DefectSystem:
             _check_generator(self.diagram, g)
             if not self.diagram.interior_regions:
                 # no regions to solve for: x and y connect when they agree
-                pot = [frozenset(g), [], []]
+                pot = [frozenset(g), [], [], None]
             else:
                 res = [0] * len(self.rows)
                 for p in set(g):
@@ -195,7 +203,7 @@ class DefectSystem:
                     res[i] += 1
                     res[i + 1] -= 1
                 coeffs = intlinalg.hermite_reduce(self.hermite[0], res)
-                pot = [tuple(res), coeffs, None]
+                pot = [tuple(res), coeffs, None, None]
             self._potentials[g] = pot
         return pot
 
@@ -212,6 +220,14 @@ class DefectSystem:
                     sol[j] += q * x
             pot[2] = sol
         return pot[2]
+
+    def _area(self, pot: list) -> int:
+        """a(g) = w.u c(g) for g's potential pot under the area form, built
+        on first use; for x and y with equal keys, every domain from x to y
+        has area a(y) - a(x)."""
+        if pot[3] is None:
+            pot[3] = sum(a * c for a, c in zip(self.area, self._particular(pot)))
+        return pot[3]
 
     @cached_property
     def periodic(self) -> tuple[Domain, ...]:
@@ -291,12 +307,10 @@ class DefectSystem:
                      if r not in last]
         return vectors, untouched
 
-    def _base(self, x: Generator, y: Generator) -> tuple[int, ...] | None:
-        """Coefficients of the canonical domain from x to y, or None when
-        the pair is disconnected (see ``connecting_domain``)."""
-        px, py = self._potential(x), self._potential(y)
-        if px[0] != py[0]:
-            return None
+    def _base(self, px: list, py: list) -> tuple[int, ...]:
+        """Coefficients of the canonical domain from x to y, given their
+        potentials px and py, whose keys must agree (see
+        ``connecting_domain``)."""
         sol = [b - a for a, b in zip(self._particular(px), self._particular(py))]
         for lead, p, terms, _ in self._echelon[0]:
             q = sol[lead] // p
@@ -412,8 +426,11 @@ def connecting_domain(d: Diagram, x: Generator, y: Generator) -> Domain | None:
     representative is normalized against the echelon basis, so equal cosets
     always yield the same domain.
     """
-    sol = d.defects._base(x, y)
-    return None if sol is None else Domain(d, sol)
+    ds = d.defects
+    px, py = ds._potential(x), ds._potential(y)
+    if px[0] != py[0]:
+        return None
+    return Domain(d, ds._base(px, py))
 
 
 # -- admissibility -----------------------------------------------------------
@@ -445,12 +462,19 @@ def positive_connecting_domains(d: Diagram, x: Generator,
     Requires an admissible diagram, which is exactly the condition that
     makes this set finite.
 
-    Pairs with the same canonical connecting domain share one coset of the
-    periodic lattice, and so one answer: each coset is walked once per
-    diagram (``DefectSystem.nonnegative``).  The list is new on every call,
-    but its Domains are shared and must not be modified."""
+    The pair's area A = a(y) - a(x) is read from the two potentials
+    before any domain is formed: a disconnected pair, one with A < 0, and
+    one with A = 0 whose point sets differ get [] at once.  Pairs with the
+    same canonical connecting domain share one coset of the periodic
+    lattice, and so one answer: each coset is walked once per diagram
+    (``DefectSystem.nonnegative``).  The list is new on every call, but its
+    Domains are shared and must not be modified."""
     require_admissible(d)
-    base = d.defects._base(x, y)
-    if base is None:
+    ds = d.defects
+    px, py = ds._potential(x), ds._potential(y)
+    if px[0] != py[0]:
         return []
-    return list(d.defects.nonnegative(base))
+    area = ds._area(py) - ds._area(px)
+    if area < 0 or not area and set(x) != set(y):
+        return []
+    return list(ds.nonnegative(ds._base(px, py)))

@@ -73,12 +73,18 @@ def _index(w: list[int], dom: Domain) -> int:
 
 
 def grading_modulus(d: Diagram, member: Generator) -> int:
-    """Gcd of Maslov indices over the periodic lattice; 0 means exact gradings."""
-    periodic = d.defects.periodic
-    if not periodic:
-        return 0
-    w = index_weights(d, member, member)
-    return math.gcd(*(_index(w, p) for p in periodic))
+    """Gcd of Maslov indices over the periodic lattice; 0 means exact gradings.
+    Computed once per member and diagram: ``class_homology`` and
+    ``boundary_matrix`` both ask for it at the class's least member."""
+    moduli = d.defects.moduli
+    if member not in moduli:
+        periodic = d.defects.periodic
+        modulus = 0
+        if periodic:
+            w = index_weights(d, member, member)
+            modulus = math.gcd(*(_index(w, p) for p in periodic))
+        moduli[member] = modulus
+    return moduli[member]
 
 
 def relative_gradings(d: Diagram, members: tuple[Generator, ...],

@@ -11,6 +11,7 @@ from sfh import intlinalg, ratlp
 from sfh.builders import BUILDERS, build_example
 from sfh.diagram import ALPHA, BETA, enumerate_generators
 from sfh.domains import (
+    DefectSystem,
     Domain,
     NotAdmissibleError,
     admissibility,
@@ -381,12 +382,12 @@ def test_positive_domains_match_brute_force():
                 assert got == want, (name, x, y)
 
 
-def test_positive_domains_under_a_nonuniform_area():
-    # every packaged diagram gets the all-ones area form, so give each band's
-    # two bigons its own weight (2, 3, ...) to exercise D_r <= A // w_r
+def _planted_areas():
+    """spheres(4) and spheres(3) + spheres(3), fresh, with each band's two
+    bigons given its own weight (2, 3, ...) in place of all-ones, the area
+    form every packaged diagram gets."""
     spheres3 = build_example("spheres", [3])
-    for d, limit in ((build_example("spheres", [4]), math.inf),
-                     (disjoint_union(spheres3, spheres3), 1)):
+    for d in (build_example("spheres", [4]), disjoint_union(spheres3, spheres3)):
         assert d.defects.area == (1,) * len(d.interior_regions)
         w = [1] * len(d.interior_regions)
         for i, p in enumerate(periodic_basis(d), start=2):
@@ -396,6 +397,12 @@ def test_positive_domains_under_a_nonuniform_area():
         for p in periodic_basis(d):
             assert sum(a * c for a, c in zip(w, p.coeffs)) == 0
         d.defects.area = tuple(w)
+        yield d
+
+
+def test_positive_domains_under_a_nonuniform_area():
+    # planted weights exercise D_r <= A // w_r
+    for d, limit in zip(_planted_areas(), (math.inf, 1)):
         for base in coset_bases(d):
             assert d.defects._walk(base) == reference_walk(d.defects, base)
         gens = enumerate_generators(d)
@@ -409,6 +416,68 @@ def test_positive_domains_under_a_nonuniform_area():
                 cap = max(sum(base.coeffs), 0) if base is not None else 0
                 want = brute_force_positive_domains(d, x, y, min(cap, limit))
                 assert got == want, (x, y)
+
+
+def _connected_pairs():
+    """(d, x, y, canonical domain from x to y) for every connected ordered
+    pair of ``_walk_variants()`` and of the planted non-uniform areas."""
+    for d in itertools.chain(_walk_variants(), _planted_areas()):
+        gens = enumerate_generators(d)
+        for x, y in itertools.product(gens, repeat=2):
+            base = connecting_domain(d, x, y)
+            if base is not None:
+                yield d, x, y, base
+
+
+def test_pair_area_is_the_difference_of_generator_areas():
+    # the area positive_connecting_domains reads from two potentials is that
+    # of every domain of the pair, its canonical one included
+    pairs = planted = 0
+    for d, x, y, base in _connected_pairs():
+        ds = d.defects
+        got = ds._area(ds._potential(y)) - ds._area(ds._potential(x))
+        assert got == sum(a * c for a, c in zip(ds.area, base.coeffs)), (
+            d.name, x, y)
+        pairs += 1
+        planted += set(ds.area) != {1}
+    assert (pairs, planted) == (9436, 328)
+
+
+def test_pairs_of_no_positive_area_are_answered_without_a_base(monkeypatch):
+    # A < 0, or A = 0 between different point sets: the oracle walk of the
+    # canonical base finds no nonnegative domain, and the search says so
+    # before it forms that base
+    bases = _count_calls(monkeypatch, DefectSystem, "_base")
+    decided = planted = 0
+    for d, x, y, base in _connected_pairs():
+        area = sum(a * c for a, c in zip(d.defects.area, base.coeffs))
+        if area < 0 or not area and set(x) != set(y):
+            assert reference_walk(d.defects, base.coeffs) == (), (d.name, x, y)
+            bases.clear()
+            assert positive_connecting_domains(d, x, y) == []
+            assert bases == []
+            decided += 1
+            planted += set(d.defects.area) != {1}
+    assert (decided, planted) == (5074, 151)
+    # on spheres(5), one class of 16 generators, 147 of the 240 pairs
+    # that boundary_matrix searches are answered from the areas alone
+    d = build_example("spheres", [5])
+    gens = enumerate_generators(d)
+    bases.clear()
+    for x, y in itertools.permutations(gens, 2):
+        positive_connecting_domains(d, x, y)
+    assert len(gens) == 16 and len(bases) == 240 - 147
+
+
+def test_a_point_set_reaches_itself_by_the_zero_domain():
+    # equal point sets, in any order or with a point repeated, have area 0
+    # and the zero domain as their only nonnegative one
+    for d in itertools.chain(_nice_variants(), _planted_areas()):
+        zero = [Domain.zero(d)]
+        for x in enumerate_generators(d):
+            for y in (x, x[::-1], (*x, *x[:1])):
+                assert positive_connecting_domains(d, x, y) == zero, (d.name, x)
+                assert positive_connecting_domains(d, y, x) == zero, (d.name, x)
 
 
 def _reduced(basis: list[list[int]], vec: list[int]) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sfh import cli, homology, intlinalg, ratlp
+from sfh import cli, homology, intlinalg, ratlp, spinc
 from sfh.builders import build_example
 from sfh.diagram import (ALPHA, BD, BETA, CROSSING, Diagram, Edge,
                          InvalidDiagramError, MARKER, NotBalancedError, Region,
@@ -245,6 +245,22 @@ def test_boundary_matrix_per_domain_sums_give_the_same_rows(monkeypatch):
     assert forced >= 150, forced
 
 
+def test_grading_modulus_is_summed_once_per_class(monkeypatch):
+    # class_homology and boundary_matrix both ask for the modulus of
+    # spheres(5)'s one class; only the first call sums an index, and
+    # relative_gradings sums one per member besides the least
+    asked = _count_calls(monkeypatch, homology, "grading_modulus")
+    sums = _count_calls(monkeypatch, spinc, "_index")
+    d = build_example("spheres", [5])
+    sfh(d)
+    (cls,) = spinc_partition(d)
+    least = min(cls.members)
+    assert [args[1] for args in asked] == [least, least]
+    assert len(sums) == len(d.defects.periodic) + len(cls.members) - 1
+    sums.clear()
+    assert grading_modulus(d, least) == 0 and sums == []
+
+
 def test_boundary_drops_grading_by_one():
     for d in _nice_variants():
         for cls in spinc_partition(d):
@@ -466,22 +482,26 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
 
 
 def test_sfh_walks_each_coset_once(monkeypatch):
-    # the searches of boundary_matrix share cosets, one walk each
+    # the searches of boundary_matrix share cosets, one walk each; a coset
+    # whose area is not positive is decided from the potentials, unwalked
     walks = _count_calls(monkeypatch, DefectSystem, "_walk")
     searches = _count_calls(monkeypatch, homology,
                             "positive_connecting_domains")
     for d, walked, searched in (
-            (build_example("spheres", [4]), 26, 56),
-            (build_example("spheres", [5]), 80, 240),
+            (build_example("spheres", [4]), 10, 56),
+            (build_example("spheres", [5]), 31, 240),
             (disjoint_union(build_example("spheres", [4]),
-                            build_example("torus_lens", [5])), 26, 280)):
+                            build_example("torus_lens", [5])), 10, 280)):
         walks.clear()
         searches.clear()
         sfh(d)
         bases = {connecting_domain(d, x, y)
                  for x, y in itertools.permutations(enumerate_generators(d), 2)}
         bases.discard(None)
-        assert len(walks) == len(bases) == walked, d.name
+        w = d.defects.area
+        positive = [b for b in bases
+                    if sum(a * c for a, c in zip(w, b.coeffs)) > 0]
+        assert len(walks) == len(positive) == walked, d.name
         assert len(searches) == searched, d.name
 
 
