@@ -36,17 +36,21 @@ potential once a pair search first needs it.  So A is read from the two
 potentials before any domain is formed: a pair with A < 0 has no
 nonnegative domain, nor one with A = 0 unless x and y are the same point
 set, whose only one is the zero domain; such pairs get no domain, no
-reduction and no walk.  The walk bounds every row as soon as its choices
-make the row final, at the last basis vector that touches it, so it takes
-no step it would later reject.  The walk's answer depends only on the
-coset, which the canonical connecting domain names, so each coset is
-walked once per diagram and its nonnegative domains are kept for every
-later pair that shares it.
+reduction and no walk.  The walk first bounds the rows it can decide at
+its root, those no basis vector touches and those a single vector
+touches, and returns an empty coset from there; otherwise its depth-first
+search bounds every row as soon as its choices make the row final, at the
+last basis vector that touches it, so every step it keeps stays within
+the box.  The walk's answer depends only on the coset, which the
+canonical connecting domain names, so each coset is walked once per
+diagram and its nonnegative domains are kept for every later pair that
+shares it.
 """
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import mul
 
 from . import intlinalg, ratlp
 from .diagram import ALPHA, BETA, Diagram, Generator
@@ -135,11 +139,11 @@ class DefectSystem:
     """One diagram's defect matrix and what derives from it: the column
     Hermite factorization, each generator's potential, the echelon periodic
     basis, the admissibility verdict, the area form, each coset's
-    nonnegative domains and each class's grading modulus, each built at
-    most once, on first use.  euler and quads give four times the Maslov
-    index in integers: 4 e(r) minus its crossing corners per interior region
-    r, and per crossing the columns of its interior quadrants (combined per
-    pair by ``spinc.index_weights``).
+    nonnegative domains and each class's grading modulus and gradings,
+    each built at most once, on first use.  euler and quads give four times
+    the Maslov index in integers: 4 e(r) minus its crossing corners per
+    interior region r, and per crossing the columns of its interior
+    quadrants (combined per pair by ``spinc.index_weights``).
     The diagram holds this object as ``Diagram.defects``; rows and labels
     are described at ``defect_system``.  Everything here is shared and must
     not be modified.
@@ -154,6 +158,9 @@ class DefectSystem:
         self._cosets: dict[tuple[int, ...], tuple[Domain, ...]] = {}
         # generator -> its class's grading modulus (``spinc.grading_modulus``)
         self.moduli: dict[Generator, int] = {}
+        # (least member, modulus) -> generator -> grading relative to that
+        # member (``spinc.relative_gradings``), for classes of several members
+        self.gradings: dict[tuple[Generator, int], dict[Generator, int]] = {}
         order = d.interior_regions
         col = {r: i for i, r in enumerate(order)}
         self.euler = [4 * d.regions[r].euler() - d.crossing_corner_count[r]
@@ -289,22 +296,31 @@ class DefectSystem:
         return tuple(int(v * scale) for v in w)
 
     @cached_property
-    def _echelon(self) -> tuple[list[tuple[int, int, list, list]], list[int]]:
+    def _echelon(self) -> tuple[list[tuple[int, int, list, list, list]],
+                                list[int]]:
         """Each periodic basis vector j as its lead (first nonzero) row, its
-        positive lead entry, its nonzero (row, entry) pairs, and (row,
-        entry) for each later row whose last nonzero basis entry is j's:
-        the rows that choosing t_j makes final in ``_walk``.  Then the rows
-        no basis vector touches, final from the start."""
+        positive lead entry, its nonzero (row, entry) pairs, and two lists
+        of (row, entry) that together hold every row whose last nonzero
+        basis entry is j's, the rows that choosing t_j makes final: those
+        another vector touches too, bounded in ``_search``, and those j
+        alone touches, bounded once at ``_walk``'s root.  Then the rows no
+        basis vector touches, final from the start."""
         basis = [b.coeffs for b in self.periodic]
-        last = {r: j for j, b in enumerate(basis) for r, c in enumerate(b) if c}
+        touching: dict[int, list[int]] = {}
+        for j, b in enumerate(basis):
+            for r, c in enumerate(b):
+                if c:
+                    touching.setdefault(r, []).append(j)
         vectors = []
         for j, b in enumerate(basis):
             terms = [(r, c) for r, c in enumerate(b) if c]
             lead, p = terms[0]
             vectors.append((lead, p, terms,
-                            [(r, c) for r, c in terms[1:] if last[r] == j]))
+                            [(r, c) for r, c in terms
+                             if touching[r][-1] == j and len(touching[r]) > 1],
+                            [(r, c) for r, c in terms if touching[r] == [j]]))
         untouched = [r for r in range(len(self.diagram.interior_regions))
-                     if r not in last]
+                     if r not in touching]
         return vectors, untouched
 
     def _base(self, px: list, py: list) -> tuple[int, ...]:
@@ -312,7 +328,7 @@ class DefectSystem:
         potentials px and py, whose keys must agree (see
         ``connecting_domain``)."""
         sol = [b - a for a, b in zip(self._particular(px), self._particular(py))]
-        for lead, p, terms, _ in self._echelon[0]:
+        for lead, p, terms, _, _ in self._echelon[0]:
             q = sol[lead] // p
             if q:
                 for i, c in terms:
@@ -334,35 +350,50 @@ class DefectSystem:
 
         Every such D has the coset's area A = w.base, so none exists when
         A < 0, and when A = 0 only D = 0 could, which lies in the coset
-        exactly when its canonical base is 0.  Otherwise a row becomes
-        final once t_j is chosen for the last basis vector j that touches
-        it, and t_j is taken only from the interval that keeps every row
-        final at j within [0, A // w_r]; rows no vector touches are base's,
-        checked once.  So every step the walk takes is kept.  Leads are
-        positive and increase with j, so taking each t_j in increasing
-        order yields the domains already sorted.
+        exactly when its canonical base is 0.  Otherwise each row r must
+        stay within [0, A // w_r].  Two kinds of row are decided at the
+        root, before any search: rows no vector touches are base's, and a
+        row that only vector j touches reads base_r + t_j k on every D, so
+        it confines t_j to one interval, the same at every node of the
+        search.  When some j's rows leave it no t_j, the coset is empty and
+        the depth-first search (``_search``) is never entered.
         """
         w = self.area
-        area = sum(a * c for a, c in zip(w, base))
+        area = sum(map(mul, w, base))
         if area < 0 or not area and any(base):
             return ()
         vectors, untouched = self._echelon
         caps = [area // v for v in w]
-        if any(not 0 <= base[r] <= caps[r] for r in untouched):
-            return ()
+        for r in untouched:
+            if not 0 <= base[r] <= caps[r]:
+                return ()
         if not vectors:
             return (Domain(self.diagram, base),)
+        roots = []
+        for _, _, _, _, alone in vectors:
+            lo, hi = _interval(-math.inf, math.inf, alone, base, caps)
+            if lo > hi:
+                return ()
+            roots.append((lo, hi))
+        return self._search(base, caps, roots)
+
+    def _search(self, base: tuple[int, ...], caps: list[int],
+                roots: list[tuple[int, int]]) -> tuple[Domain, ...]:
+        """``_walk``'s depth-first search, under the row caps A // w_r and
+        the root interval of each t_j.  A row becomes final once t_j is
+        chosen for the last basis vector j that touches it, and t_j is
+        taken only from the root interval narrowed by the rows final at j
+        that other vectors touch too, so no kept step is undone later; a
+        branch ends only where a later interval is empty.  Leads are
+        positive and increase with j, so taking each t_j in increasing
+        order yields the domains already sorted."""
+        vectors = self._echelon[0]
 
         def steps(cur: list[int], j: int) -> range:
-            lead, p, _, final = vectors[j]
-            c = cur[lead]
-            lo, hi = -(c // p), (caps[lead] - c) // p
-            for r, k in final:
-                c = cur[r]
-                if k > 0:
-                    lo, hi = max(lo, -(c // k)), min(hi, (caps[r] - c) // k)
-                else:
-                    lo, hi = max(lo, -((caps[r] - c) // -k)), min(hi, c // -k)
+            lo, hi = roots[j]
+            shared = vectors[j][3]
+            if shared:
+                lo, hi = _interval(lo, hi, shared, cur, caps)
             return range(lo, hi + 1)
 
         # depth first, without recursion: each stack entry is a partial D,
@@ -388,6 +419,19 @@ class DefectSystem:
             else:
                 stack.append((nxt, j + 1, iter(steps(nxt, j + 1))))
         return tuple(out)
+
+
+def _interval(lo, hi, rows: list[tuple[int, int]], cur: list[int],
+              caps: list[int]):
+    """[lo, hi] narrowed to the t that keep cur_r + t k within [0, caps_r]
+    for every (r, k) of rows; empty when lo > hi."""
+    for r, k in rows:
+        c = cur[r]
+        if k > 0:
+            lo, hi = max(lo, -(c // k)), min(hi, (caps[r] - c) // k)
+        else:
+            lo, hi = max(lo, -((caps[r] - c) // -k)), min(hi, c // -k)
+    return lo, hi
 
 
 def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:

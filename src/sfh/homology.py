@@ -56,16 +56,18 @@ def boundary_matrix(d: Diagram, members: tuple[Generator, ...]) -> list[int]:
     The diagram must be nice, as ``sfh`` enforces: there each such domain
     is an empty embedded bigon or rectangle with exactly one holomorphic
     representative (Sarkar-Wang, Thm 3.3), so counting the domains counts
-    the discs.  A domain has index 1 when w.D = 4 for the pair's
-    ``index_weights`` w, built only for pairs that have a nonnegative
-    domain.  Two domains of one pair differ by a periodic P, and
-    mu(D + P) = mu(D) + mu(P); when the class's grading modulus is 0, every
-    mu(P) is 0, so all of a pair's domains share one index and one sum
-    decides them all.  The modulus is computed only once some pair has
-    more than one domain; under a nonzero modulus each domain is summed.
+    the discs.  Every domain D from x to y has mu(D) = gr(x) - gr(y) modulo
+    the class's grading modulus (Ozsvath-Szabo, math/0101206, 2.4), so the
+    index is read from the class's gradings, asked for once, when the
+    first pair turns out to have a nonnegative domain.  Under modulus 0
+    that is exact: a pair sets its bit when gr(x) - gr(y) = 1 and it has
+    an odd number of domains, and no index is summed.  Under a nonzero
+    modulus m, a pair with gr(x) - gr(y) - 1 not divisible by m has no
+    index-1 domain; any other pair sums w.D = 4 mu(D) over its domains,
+    for its ``index_weights`` w.
     """
     rows = []
-    modulus = None
+    gradings = None
     for x in members:
         row = 0
         for j, y in enumerate(members):
@@ -74,17 +76,19 @@ def boundary_matrix(d: Diagram, members: tuple[Generator, ...]) -> list[int]:
             doms = positive_connecting_domains(d, x, y)
             if not doms:
                 continue
-            w = index_weights(d, x, y)
-            if len(doms) > 1 and modulus is None:
+            if gradings is None:
                 modulus = grading_modulus(d, min(members))
-            if modulus:
-                count = sum(1 for dom in doms
-                            if sum(a * c for a, c in zip(w, dom.coeffs)) == 4)
-            elif sum(a * c for a, c in zip(w, doms[0].coeffs)) == 4:
-                count = len(doms)
-            else:
+                gradings = relative_gradings(d, members, modulus)
+            drop = gradings[x] - gradings[y] - 1
+            if not modulus:
+                odd = not drop and len(doms) % 2
+            elif drop % modulus:
                 continue
-            if count % 2:
+            else:
+                w = index_weights(d, x, y)
+                odd = sum(sum(a * c for a, c in zip(w, dom.coeffs)) == 4
+                          for dom in doms) % 2
+            if odd:
                 row |= 1 << j
         rows.append(row)
     return rows

@@ -93,16 +93,26 @@ def relative_gradings(d: Diagram, members: tuple[Generator, ...],
 
     Differences gr(x) - gr(y) equal the Maslov index of any domain from x
     to y, reduced modulo ``modulus`` (see ``grading_modulus``) when nonzero.
+    Each member's grading is summed once per diagram, least member and
+    modulus (``DefectSystem.gradings``): ``class_homology`` and
+    ``boundary_matrix`` both ask for a class's gradings.  The dict is new on
+    every call.
     """
     least = min(members)
     out = {}
+    known = None
     for g in members:
         if g == least:
             out[g] = 0
             continue
-        dom = connecting_domain(d, g, least)
-        if dom is None:
-            raise ValueError(f"{g} and {least} are not in the same class")
-        val = _index(index_weights(d, g, least), dom)
-        out[g] = val % modulus if modulus else val
+        if known is None:  # fetched only for a class of several members
+            known = d.defects.gradings.setdefault((least, modulus), {})
+        val = known.get(g)
+        if val is None:
+            dom = connecting_domain(d, g, least)
+            if dom is None:
+                raise ValueError(f"{g} and {least} are not in the same class")
+            val = _index(index_weights(d, g, least), dom)
+            val = known[g] = val % modulus if modulus else val
+        out[g] = val
     return out

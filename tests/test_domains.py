@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from sfh import intlinalg, ratlp
+from sfh import homology, intlinalg, ratlp
 from sfh.builders import BUILDERS, build_example
 from sfh.diagram import ALPHA, BETA, enumerate_generators
 from sfh.domains import (
@@ -24,6 +24,8 @@ from sfh.domains import (
 )
 from sfh.moves import disjoint_union, insert_marker, permute_ids, stabilize
 from sfh.shd import parse, serialize
+from sfh.spinc import (grading_modulus, index_weights, relative_gradings,
+                       spinc_partition)
 
 from oracles import (admissibility_program, box_walk,
                      brute_force_positive_domains,
@@ -467,6 +469,47 @@ def test_pairs_of_no_positive_area_are_answered_without_a_base(monkeypatch):
     for x, y in itertools.permutations(gens, 2):
         positive_connecting_domains(d, x, y)
     assert len(gens) == 16 and len(bases) == 240 - 147
+
+
+def test_every_nonnegative_domain_has_the_grading_drop_as_index(monkeypatch):
+    # boundary_matrix reads each pair's index from the class's gradings:
+    # under modulus 0 every domain D from x to y has 4 mu(D) = w.D equal to
+    # 4 (gr(x) - gr(y)), so no domain needs its own sum and all domains of
+    # a pair share one index
+    classes = []
+    domains = pairs = several = 0
+    for d in itertools.chain(_walk_variants(), _planted_areas()):
+        for cls in spinc_partition(d):
+            members = cls.members
+            assert grading_modulus(d, min(members)) == 0, d.name
+            gr = relative_gradings(d, members, 0)
+            for x, y in itertools.product(members, repeat=2):
+                w = index_weights(d, x, y)
+                doms = positive_connecting_domains(d, x, y)
+                for dom in doms:
+                    assert sum(a * c for a, c in zip(w, dom.coeffs)) == \
+                        4 * (gr[x] - gr[y]), (d.name, x, y, dom)
+                domains += len(doms)
+                pairs += bool(doms)
+                several += len(doms) > 1
+            classes.append((d, members))
+    assert domains >= 9400 and pairs >= 3500 and several >= 2450, (
+        domains, pairs, several)
+    # under a nonzero modulus the gradings only rule pairs out: with the
+    # modulus forced to 2, the rows equal those that sum every domain
+    monkeypatch.setattr(homology, "grading_modulus", lambda d, member: 2)
+    for d, members in classes:
+        want = []
+        for x in members:
+            row = 0
+            for j, y in enumerate(members):
+                w = index_weights(d, x, y)
+                if x != y and sum(
+                        sum(a * c for a, c in zip(w, dom.coeffs)) == 4
+                        for dom in positive_connecting_domains(d, x, y)) % 2:
+                    row |= 1 << j
+            want.append(row)
+        assert homology.boundary_matrix(d, members) == want, d.name
 
 
 def test_a_point_set_reaches_itself_by_the_zero_domain():

@@ -203,30 +203,11 @@ def test_boundary_matrix_matches_oracle():
             assert got == want, d.name
 
 
-def test_domains_of_a_pair_share_their_index_under_modulus_zero():
-    # two domains of a pair differ by a periodic domain, whose index the
-    # class's modulus divides; at modulus 0 every one of them is 0, which
-    # is what lets boundary_matrix sum only a pair's first domain
-    pairs = several = 0
-    for d in _walk_variants():
-        for cls in spinc_partition(d):
-            assert grading_modulus(d, min(cls.members)) == 0, d.name
-            for x, y in itertools.product(cls.members, repeat=2):
-                doms = positive_connecting_domains(d, x, y)
-                w = index_weights(d, x, y)
-                sums = {sum(a * c for a, c in zip(w, dom.coeffs))
-                        for dom in doms}
-                assert len(sums) <= 1, (d.name, x, y, sums)
-                pairs += bool(doms)
-                several += len(doms) > 1
-    assert pairs >= 3300 and several >= 2300, (pairs, several)
-
-
 def test_boundary_matrix_per_domain_sums_give_the_same_rows(monkeypatch):
     # no packaged class has a nonzero modulus, so force the branch that
-    # sums every domain and compare it with the one sum per pair; the
-    # modulus is decided at most once per class, and only for classes
-    # with a pair that has several domains
+    # sums every domain and compare it with the rows read from the exact
+    # gradings; the modulus is decided at most once per class, and only
+    # for classes with a pair that has a nonnegative domain
     want = {}
     for d in _walk_variants():
         for cls in spinc_partition(d):
@@ -238,9 +219,9 @@ def test_boundary_matrix_per_domain_sums_give_the_same_rows(monkeypatch):
         assert boundary_matrix(d, members) == rows, d.name
         assert len(decided) <= 1
         forced += len(decided)
-        several = any(len(positive_connecting_domains(d, x, y)) > 1
-                      for x, y in itertools.permutations(members, 2))
-        assert len(decided) == several, d.name
+        searched = any(positive_connecting_domains(d, x, y)
+                       for x, y in itertools.permutations(members, 2))
+        assert len(decided) == searched, d.name
         decided.clear()
     assert forced >= 150, forced
 
