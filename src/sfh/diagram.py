@@ -8,11 +8,16 @@ cycles of signed edge references).  Region cycles keep the region on the
 left, so an interior edge is traversed once forwards and once backwards
 across all regions, while a boundary edge is traversed exactly once.
 
-Validation walks the region cycles once.  A diagram that passes keeps what
-that walk found: the corners at each vertex (``corners_by_vertex``), the
-two sides of each edge (``edge_sides``) and the regions that miss the
-boundary (``interior_regions``).  Later stages read those tables and walk
-no cycle again.
+Validation walks the region cycles once, reading one table that gives each
+signed edge reference the vertex and edge end it arrives by and the ones
+it leaves by.  The walk records the region on each reference's side, and
+edge use is checked on that record: each reference once, an interior edge
+both ways, a boundary edge one way; references are only counted to word a
+failure.  A diagram that passes keeps what that walk found: the corners at
+each vertex (``corners_by_vertex``), the two sides of each edge
+(``edge_sides``) and the regions that miss the boundary
+(``interior_regions``).  Later stages read those tables and walk no cycle
+again.
 """
 from __future__ import annotations
 
@@ -234,40 +239,46 @@ class Diagram:
         # the one walk over the region cycles: each reference must start
         # where the one before it ends, and the pair makes a corner there.
         # A signed reference arrives at its end vertex by one edge end and
-        # leaves its start vertex by the other.
-        arrive: dict[int, tuple[int, End]] = {}
-        leave: dict[int, tuple[int, End]] = {}
+        # leaves its start vertex by the other: route[ref] is (arrive vertex,
+        # arrive end, leave vertex, leave end)
+        route: dict[int, tuple[int, End, int, End]] = {}
         for e in edges.values():
             i = e.id
             head, tail = (i, "H"), (i, "T")
-            arrive[i], arrive[-i] = (e.head, head), (e.tail, tail)
-            leave[i], leave[-i] = (e.tail, tail), (e.head, head)
+            route[i] = (e.head, head, e.tail, tail)
+            route[-i] = (e.tail, tail, e.head, head)
+        corner = Corner._make
         by_vertex: dict[int, list[Corner]] = {v: [] for v in self.vertices}
         side: dict[int, int] = {}  # signed reference -> its region
         for r in self.regions.values():
             rid = r.id
             for cyc in r.cycles:
+                side.update(dict.fromkeys(cyc, rid))
                 ref = cyc[0]
-                v, end_in = arrive[ref]
+                v, end_in, _, _ = route[ref]
                 for nxt in cyc[1:] + cyc[:1]:
-                    side[ref] = rid
-                    start, end_out = leave[nxt]
-                    if v != start:
+                    at = route[nxt]
+                    if v != at[2]:
                         errs.append(
                             f"region {rid}: cycle breaks between refs {ref} and {nxt}")
-                    by_vertex[v].append(Corner(v, rid, end_in, end_out))
+                    by_vertex[v].append(corner((v, rid, end_in, at[3])))
                     ref = nxt
-                    v, end_in = arrive[ref]
-        use = Counter(itertools.chain.from_iterable(cycles))
-        for e in edges.values():
-            p, mn = use[e.id], use[-e.id]
-            if e.curve == BD:
-                if p + mn != 1:
-                    errs.append(
-                        f"boundary edge {e.id} used {p + mn} times; want exactly 1")
-            elif (p, mn) != (1, 1):
-                errs.append(
-                    f"interior edge {e.id} used +{p}/-{mn} times; want once each way")
+                    v, end_in, _, _ = at
+        # each signed reference is used at most once, an interior edge
+        # both ways and a boundary edge one way; the counts word a failure
+        if len(side) != sum(map(len, cycles)) or any(
+                (e.id in side) + (-e.id in side) != (1 if e.curve == BD else 2)
+                for e in edges.values()):
+            use = Counter(itertools.chain.from_iterable(cycles))
+            for e in edges.values():
+                p, mn = use[e.id], use[-e.id]
+                if e.curve == BD:
+                    if p + mn != 1:
+                        errs.append(f"boundary edge {e.id} used {p + mn} "
+                                    "times; want exactly 1")
+                elif (p, mn) != (1, 1):
+                    errs.append(f"interior edge {e.id} used +{p}/-{mn} "
+                                "times; want once each way")
         if errs:
             return errs
 
@@ -292,18 +303,18 @@ class Diagram:
                 # corners must chain into a single alternating quadrant cycle
                 succ = {}
                 ok = True
-                for c in cs:
-                    if ((curve_of[c.end_in[0]], curve_of[c.end_out[0]])
-                            not in ((ALPHA, BETA), (BETA, ALPHA))):
+                for _, _, end_in, end_out in cs:
+                    # incidence made every end here alpha or beta
+                    if curve_of[end_in[0]] == curve_of[end_out[0]]:
                         errs.append(
                             f"crossing {v.id}: corner joins two ends of the same curve")
                         ok = False
                         break
-                    if c.end_in in succ:
+                    if end_in in succ:
                         errs.append(f"crossing {v.id}: edge end reused by two corners")
                         ok = False
                         break
-                    succ[c.end_in] = c.end_out
+                    succ[end_in] = end_out
                 if not ok:
                     continue
                 # first return to the start must happen on the fourth step:

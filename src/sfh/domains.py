@@ -144,6 +144,9 @@ class DefectSystem:
     the Maslov index in integers: 4 e(r) minus its crossing corners per
     interior region r, and per crossing the columns of its interior
     quadrants (combined per pair by ``spinc.index_weights``).
+    The defect matrix is kept as ``columns``, one {row: nonzero entry} per
+    interior region, which is what the factorization reads; ``rows``, its
+    dense form, is built only when read (``defect_system``).
     The diagram holds this object as ``Diagram.defects``; rows and labels
     are described at ``defect_system``.  Everything here is shared and must
     not be modified.
@@ -170,29 +173,38 @@ class DefectSystem:
                       for v in d.crossings}
         # one pass over the edges: an alpha or beta edge adds its flanking
         # regions' columns to its head's row and subtracts them from its
-        # tail's (a loop's two ends cancel)
+        # tail's; each column is {row: nonzero entry}
         self.labels = [(v, curve) for v in d.crossings for curve in (ALPHA, BETA)]
         at = {label: i for i, label in enumerate(self.labels)}
         self._alpha_row = {v: 2 * i for i, v in enumerate(d.crossings)}
-        self.rows = [[0] * len(order) for _ in self.labels]
+        by_region: dict[int, dict[int, int]] = {r: {} for r in order}
         for e in d.edges.values():
+            head, tail = at.get((e.head, e.curve)), at.get((e.tail, e.curve))
+            if head == tail:
+                continue  # no row, or a loop whose two ends cancel
             pos, neg = d.edge_sides[e.id]
-            for v, sign in ((e.head, 1), (e.tail, -1)):
-                i = at.get((v, e.curve))
-                if i is None:
-                    continue
-                row = self.rows[i]
-                if pos in col:
-                    row[col[pos]] += sign
-                if neg in col:
-                    row[col[neg]] -= sign
+            for r, sign in ((pos, 1), (neg, -1)):
+                c = by_region.get(r)
+                if c is not None:
+                    if head is not None:
+                        c[head] = c.get(head, 0) + sign
+                    if tail is not None:
+                        c[tail] = c.get(tail, 0) - sign
+        self.columns = [{i: x for i, x in by_region[r].items() if x}
+                        for r in order]
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """The defect matrix as dense rows, built on first read (the
+        factorization reads ``columns``)."""
+        return [[c.get(i, 0) for c in self.columns]
+                for i in range(len(self.labels))]
 
     @cached_property
     def hermite(self) -> tuple[list[intlinalg.Pivot], list[dict[int, int]]]:
-        """hermite_factorization of the rows: the pivots and the kernel
+        """hermite_factorization of the columns: the pivots and the kernel
         columns.  Only built for diagrams with interior regions."""
-        return intlinalg.hermite_factorization(
-            self.rows, len(self.diagram.interior_regions))
+        return intlinalg.hermite_factorization(self.columns)
 
     def _potential(self, g: Generator) -> list:
         if not isinstance(g, tuple):
@@ -204,7 +216,7 @@ class DefectSystem:
                 # no regions to solve for: x and y connect when they agree
                 pot = [frozenset(g), [], [], None]
             else:
-                res = [0] * len(self.rows)
+                res = [0] * len(self.labels)
                 for p in set(g):
                     i = self._alpha_row[p]
                     res[i] += 1
@@ -440,7 +452,9 @@ def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:
     One row per (crossing, curve kind), columns indexed by the interior
     regions in sorted order.  Rows for markers are omitted: the two edges
     at a marker have the same flanking regions, so those conditions hold
-    identically.  The lists are the diagram's own; do not modify them.
+    identically.  The rows are a dense view of ``DefectSystem.columns``,
+    built on the first call; the lists are the diagram's own, so do not
+    modify them.
     """
     return d.defects.rows, d.defects.labels
 

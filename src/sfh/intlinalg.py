@@ -14,10 +14,12 @@ kernel basis in the one form its lattice has, is read off the same two
 routines: factor the matrix of its generators, then reduce each pivot
 column against the pivots after it.
 
-Matrices are lists of lists of Python ints, so every computation here is
-exact at arbitrary precision.  The sizes that show up in practice are small
-(tens of rows, mostly zero), and the factorization is set up once per
-diagram, so it keeps its transform sparse.
+Entries are Python ints, so every computation here is exact at arbitrary
+precision.  The sizes that show up in practice are small (tens of rows,
+mostly zero), and the factorization is set up once per diagram, so it takes
+its matrix as sparse columns ({row: nonzero entry}) and keeps its columns
+of h and u sparse too.  Vectors, and the columns ``hermite_columns``
+returns, are dense lists.
 """
 from __future__ import annotations
 
@@ -28,11 +30,11 @@ from collections.abc import Iterable, Sequence
 Pivot = tuple[int, int, list[tuple[int, int]], dict[int, int]]
 
 
-def hermite_factorization(a: list[list[int]],
-                          n: int) -> tuple[list[Pivot], list[dict[int, int]]]:
-    """Column Hermite factorization a u = h of the m x n matrix a, with u
-    unimodular and h in column echelon form; n is given so that a may have
-    no rows.
+def hermite_factorization(
+        a: list[dict[int, int]]) -> tuple[list[Pivot], list[dict[int, int]]]:
+    """Column Hermite factorization a u = h of the matrix a, given as its
+    sparse columns ({row: nonzero entry}), with u unimodular and h in
+    column echelon form; a is not modified.
 
     The rows are taken in order.  The columns that hold no pivot yet and
     are nonzero in the row are gcd-reduced into one by remainder steps,
@@ -43,41 +45,43 @@ def hermite_factorization(a: list[list[int]],
     sparse ({index: nonzero entry}), since a defect matrix's column
     operations touch few of them.
     """
-    m = len(a)
-    cols = [[row[j] for row in a] for j in range(n)]
-    us: list[dict[int, int]] = [{j: 1} for j in range(n)]
-    free = list(range(n))
+    cols = [dict(c) for c in a]
+    us: list[dict[int, int]] = [{j: 1} for j in range(len(a))]
+    free = list(range(len(a)))
     pivots: list[Pivot] = []
-    for i in range(m):
-        live = [j for j in free if cols[j][i]]
+    # a column operation only fills in rows where some column of a is nonzero
+    for i in sorted(set().union(*a)):
+        live = [j for j in free if i in cols[j]]
         while len(live) > 1:
             live.sort(key=lambda j: abs(cols[j][i]))
             base = live[0]
             p = cols[base][i]
             # free columns are zero above row i
-            terms = [(r, x) for r, x in enumerate(cols[base]) if x]
-            ub = us[base].items()
+            hb, ub = cols[base].items(), us[base].items()
             for j in live[1:]:
-                h, u = cols[j], us[j]
-                q = h[i] // p
-                for r, x in terms:
-                    h[r] -= q * x
-                for k, x in ub:
-                    y = u.get(k, 0) - q * x
-                    if y:
-                        u[k] = y
-                    else:
-                        del u[k]
-            live = [j for j in live if cols[j][i]]
+                q = cols[j][i] // p
+                _subtract(cols[j], q, hb)
+                _subtract(us[j], q, ub)
+            live = [j for j in live if i in cols[j]]
         if live:
             j = live[0]
             h, u = cols[j], us[j]
             if h[i] < 0:
-                h[:] = [-x for x in h]
+                cols[j] = h = {r: -x for r, x in h.items()}
                 us[j] = u = {k: -x for k, x in u.items()}
-            pivots.append((i, h[i], [(r, x) for r, x in enumerate(h) if x], u))
+            pivots.append((i, h[i], sorted(h.items()), u))
             free.remove(j)
     return pivots, [us[j] for j in free]
+
+
+def _subtract(col: dict[int, int], q: int, terms) -> None:
+    """col -= q times the (index, entry) terms, in place, dropping zeros."""
+    for k, x in terms:
+        y = col.get(k, 0) - q * x
+        if y:
+            col[k] = y
+        else:
+            del col[k]
 
 
 def hermite_reduce(pivots: list[Pivot], vec: list[int]) -> list[tuple[int, int]]:
@@ -109,14 +113,14 @@ def hermite_columns(vectors: Iterable[Sequence[int]]) -> list[list[int]]:
     the lattice is unchanged, and the reduced form is unique to the
     lattice: any two generating sets of one lattice give the same columns.
     """
-    cols = list(vectors)
-    if not cols:
+    vecs = list(vectors)
+    if not vecs:
         return []
-    rows = list(zip(*cols))
-    pivots, _ = hermite_factorization(rows, len(cols))
+    pivots, _ = hermite_factorization(
+        [{r: x for r, x in enumerate(v) if x} for v in vecs])
     done = []
     for k, (_, _, terms, _) in enumerate(pivots):
-        col = [0] * len(rows)
+        col = [0] * len(vecs[0])
         for r, x in terms:
             col[r] = x
         hermite_reduce(pivots[k + 1:], col)

@@ -12,6 +12,13 @@ Blank lines are skipped; `#` starts a comment line.  A comment of the form
 
 Canonical output sorts vertices, edges, regions by id, writes explicit
 signs on cycle references, single spaces, and a trailing newline.
+
+After the header, a vertex, edge or region line that is ASCII and holds no
+``_`` is decoded in one step: on its tokens ``int()`` accepts exactly
+``[+-]?[0-9]+``, so each is read with ``int()`` and the record's range and
+kind checks are made once.  A line this step refuses is read again token
+by token, which raises the ``ParseError`` with its line and column; that
+reader serves only to word errors (and lines split by non-ASCII blanks).
 """
 from __future__ import annotations
 
@@ -58,7 +65,9 @@ def parse(text: str) -> Diagram:
     """Parse diagram text.  Raises ParseError with line and column.
 
     Lines are split with ``str.split``; a token's column is only worked out
-    when an error points at it.  Integers are ``[+-]?[0-9]+`` in ASCII."""
+    when an error points at it.  Integers are ``[+-]?[0-9]+`` in ASCII.  A
+    record line is decoded in one step when it can be (see the module
+    docstring), else token by token."""
     vertices: list[Vertex] = []
     edges: list[Edge] = []
     regions: list[Region] = []
@@ -75,6 +84,38 @@ def parse(text: str) -> Diagram:
             if m and name is None:
                 name = m.group(1)
             continue
+        if saw_header and raw.isascii() and "_" not in raw:
+            # one-step decode; a line it refuses is read again below, token
+            # by token, which words the error
+            try:
+                if kind == "edge" and len(toks) == 6:
+                    rec = Edge(int(toks[1]), toks[2], int(toks[3]),
+                               int(toks[4]), int(toks[5]))
+                    if (rec.id > 0 and rec.index > 0 and rec.tail > 0
+                            and rec.head > 0 and rec.curve in CURVE_KINDS):
+                        edges.append(rec)
+                        continue
+                elif kind == "vertex" and len(toks) == 3:
+                    rec = Vertex(int(toks[1]), toks[2])
+                    if rec.id > 0 and rec.kind in VERTEX_KINDS:
+                        vertices.append(rec)
+                        continue
+                elif (kind == "region" and len(toks) > 4
+                      and toks[2] == "genus" and toks[4] == "cycle"):
+                    cycles = []
+                    for tok in toks[4:]:
+                        if tok == "cycle":
+                            cycles.append(cyc := [])
+                        else:
+                            cyc.append(int(tok))
+                    rec = Region(int(toks[1]), int(toks[3]),
+                                 tuple(map(tuple, cycles)))
+                    if (rec.id > 0 and rec.genus >= 0
+                            and all(c and 0 not in c for c in cycles)):
+                        regions.append(rec)
+                        continue
+            except ValueError:
+                pass
         if not saw_header:
             if kind != "shd":
                 raise ParseError("expected header 'shd 1'", lineno, _column(raw, 0))

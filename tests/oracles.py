@@ -22,6 +22,10 @@ defect rows (``maslov_index`` with ``defect_rhs``) is the reference for
 the library's unchecked quarter-index sums, which take only domains that
 connect their pair.  Each coset's nonnegative domains are also listed
 from the box that its area allows (``box_walk``), with no walk at all.
+The parser that reads every token on its own (``checked_parse``) is the
+reference for the one-step decode of a well-formed line, and the Hermite
+factorization on dense rows (``dense_hermite_factorization``) for the one
+on sparse columns.
 A few helpers that only tests call live here too, among them the corners
 at each crossing in cyclic order (``quadrants``).
 """
@@ -29,12 +33,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 
 from sfh import ratlp
 from sfh.diagram import (ALPHA, BD, BETA, CROSSING, CURVE_KINDS, MARKER,
                          VERTEX_KINDS, Corner, Diagram, Edge, Generator,
-                         enumerate_generators)
+                         Region, Vertex, enumerate_generators)
 from sfh.domains import DefectSystem, Domain, connecting_domain
+from sfh.shd import FORMAT_VERSION, ParseError, _column, _int
 from sfh.spinc import _index, index_weights
 
 
@@ -318,6 +324,47 @@ def dense_smith_normal_form(a: list[list[int]]) -> tuple[list[list[int]], list[l
             negate_row(t)
         t += 1
     return u, s, v
+
+
+def dense_hermite_factorization(a: list[list[int]], n: int) -> tuple[list, list[dict[int, int]]]:
+    """``intlinalg.hermite_factorization`` as written before it took
+    sparse columns: the m x n matrix a as dense rows, every row scanned and
+    every column of h kept dense.  Same pivot rule and arithmetic, so the
+    same pivots and kernel columns."""
+    m = len(a)
+    cols = [[row[j] for row in a] for j in range(n)]
+    us: list[dict[int, int]] = [{j: 1} for j in range(n)]
+    free = list(range(n))
+    pivots = []
+    for i in range(m):
+        live = [j for j in free if cols[j][i]]
+        while len(live) > 1:
+            live.sort(key=lambda j: abs(cols[j][i]))
+            base = live[0]
+            p = cols[base][i]
+            terms = [(r, x) for r, x in enumerate(cols[base]) if x]
+            ub = us[base].items()
+            for j in live[1:]:
+                h, u = cols[j], us[j]
+                q = h[i] // p
+                for r, x in terms:
+                    h[r] -= q * x
+                for k, x in ub:
+                    y = u.get(k, 0) - q * x
+                    if y:
+                        u[k] = y
+                    else:
+                        del u[k]
+            live = [j for j in live if cols[j][i]]
+        if live:
+            j = live[0]
+            h, u = cols[j], us[j]
+            if h[i] < 0:
+                h[:] = [-x for x in h]
+                us[j] = u = {k: -x for k, x in u.items()}
+            pivots.append((i, h[i], [(r, x) for r, x in enumerate(h) if x], u))
+            free.remove(j)
+    return pivots, [us[j] for j in free]
 
 
 
@@ -613,6 +660,97 @@ def validation_errors(d: Diagram) -> list[str]:
                 errs.append(
                     f"crossing {v.id}: quadrants do not close into a single cycle")
     return errs
+
+
+# -- the per-token reader -------------------------------------------------------
+
+
+def checked_parse(text: str) -> Diagram:
+    """``shd.parse`` as written before its one-step decode: every numeric
+    token of every line goes through ``shd._int``.  Same diagrams, same
+    errors at the same line and column.
+
+    Lines are split with ``str.split``; a token's column is only worked out
+    when an error points at it.  Integers are ``[+-]?[0-9]+`` in ASCII."""
+    vertices: list[Vertex] = []
+    edges: list[Edge] = []
+    regions: list[Region] = []
+    name: str | None = None
+    saw_header = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split()
+        if not toks:
+            continue
+        kind = toks[0]
+        if kind.startswith("#"):
+            m = re.match(r"#\s*name:\s*(.*\S)", raw.strip())
+            if m and name is None:
+                name = m.group(1)
+            continue
+        if not saw_header:
+            if kind != "shd":
+                raise ParseError("expected header 'shd 1'", lineno, _column(raw, 0))
+            if len(toks) != 2 or toks[1] != str(FORMAT_VERSION):
+                raise ParseError("unsupported format version", lineno,
+                                 _column(raw, 1 if len(toks) > 1 else 0))
+            saw_header = True
+            continue
+        if kind == "vertex":
+            if len(toks) != 3:
+                raise ParseError("vertex line needs: vertex <id> <kind>",
+                                 lineno, _column(raw, 0))
+            vid = _int(toks[1], "vertex id", lineno, raw, 1, positive=True)
+            vkind = toks[2]
+            if vkind not in VERTEX_KINDS:
+                raise ParseError(f"unknown vertex kind {vkind!r}", lineno,
+                                 _column(raw, 2))
+            vertices.append(Vertex(vid, vkind))
+        elif kind == "edge":
+            if len(toks) != 6:
+                raise ParseError(
+                    "edge line needs: edge <id> <curve> <index> <tail> <head>",
+                    lineno, _column(raw, 0))
+            eid = _int(toks[1], "edge id", lineno, raw, 1, positive=True)
+            curve = toks[2]
+            if curve not in CURVE_KINDS:
+                raise ParseError(f"unknown curve kind {curve!r}", lineno,
+                                 _column(raw, 2))
+            index = _int(toks[3], "circle index", lineno, raw, 3, positive=True)
+            tail = _int(toks[4], "tail vertex", lineno, raw, 4, positive=True)
+            head = _int(toks[5], "head vertex", lineno, raw, 5, positive=True)
+            edges.append(Edge(eid, curve, index, tail, head))
+        elif kind == "region":
+            if len(toks) < 5 or toks[2] != "genus":
+                raise ParseError(
+                    "region line needs: region <id> genus <g> cycle <refs>...",
+                    lineno, _column(raw, 0))
+            rid = _int(toks[1], "region id", lineno, raw, 1, positive=True)
+            genus = _int(toks[3], "genus", lineno, raw, 3)
+            if genus < 0:
+                raise ParseError("genus must be nonnegative", lineno, _column(raw, 3))
+            if toks[4] != "cycle":
+                raise ParseError("expected 'cycle'", lineno, _column(raw, 4))
+            cycles: list[list[int]] = []
+            for k in range(4, len(toks)):
+                tok = toks[k]
+                if tok == "cycle":
+                    cycles.append([])
+                    continue
+                ref = _int(tok, "edge reference", lineno, raw, k)
+                if ref == 0:
+                    raise ParseError("edge reference cannot be 0", lineno,
+                                     _column(raw, k))
+                cycles[-1].append(ref)
+            if any(not c for c in cycles):
+                raise ParseError("empty cycle", lineno, _column(raw, 0))
+            regions.append(Region(rid, genus, tuple(tuple(c) for c in cycles)))
+        else:
+            raise ParseError(f"unknown record {kind!r}", lineno, _column(raw, 0))
+
+    if not saw_header:
+        raise ParseError("empty input, expected header 'shd 1'", 1)
+    return Diagram(vertices, edges, regions, name=name)
 
 
 # -- the checked Maslov index ---------------------------------------------------

@@ -7,7 +7,9 @@ counts that other tests pin are kept where they are.
 """
 from __future__ import annotations
 
-from sfh import homology, intlinalg, ratlp, spinc
+import pathlib
+
+from sfh import diagram, homology, intlinalg, ratlp, shd, spinc
 from sfh.builders import build_example
 from sfh.diagram import Diagram
 from sfh.domains import DefectSystem, h2_rank
@@ -99,3 +101,32 @@ def test_gradings_sum_at_most_rank_plus_class_size_indices(monkeypatch):
             sums.clear()
             class_homology(d, cls)
             assert len(sums) <= rank + len(cls.members) - 1, d.name
+
+
+def test_well_formed_text_is_read_without_the_per_token_reader(monkeypatch):
+    # every line of the packaged files and of the serialized sweep is
+    # decoded in one step; _int only words an error
+    per_token = _count_calls(monkeypatch, shd, "_int")
+    files = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
+    texts = [p.read_text(encoding="utf-8") for p in sorted(files.glob("*.shd"))]
+    texts += [shd.serialize(d) for d in _sweep()]
+    for text in texts:
+        shd.parse(text)
+    assert per_token == [] and len(texts) == 54
+
+
+def test_validation_counts_no_edge_use_on_a_valid_diagram(monkeypatch):
+    # the edge-use stage reads the walk's side table; the Counter only words
+    # a failure
+    counters = _count_calls(monkeypatch, diagram, "Counter")
+    for d in _sweep():
+        assert d.validation_errors() == [], d.name
+    assert counters == []
+
+
+def test_sfh_builds_no_dense_defect_rows():
+    # the factorization reads the sparse columns; the dense rows are a view
+    # built only when read
+    for d in _sweep():
+        sfh(d)
+        assert "rows" not in vars(d.defects), d.name

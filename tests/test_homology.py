@@ -422,9 +422,9 @@ def test_sfh_factors_the_defect_matrix_once(monkeypatch):
     lps = _count_calls(monkeypatch, ratlp, "maximize")
 
     def factorizations(d):
-        # the factorizations of d's defect rows, and all of them: the
+        # the factorizations of d's defect columns, and all of them: the
         # periodic basis factors the kernel once more where it is not empty
-        return sum(args[0] is d.defects.rows for args in factored), \
+        return sum(args[0] is d.defects.columns for args in factored), \
             len(factored)
 
     # no admissibility program where every periodic basis vector sums to 0
@@ -517,10 +517,10 @@ def test_cli_compute_factors_the_defect_matrix_once(monkeypatch, capsys):
     assert cli.main(["compute", str(diagrams / "spheres_3.shd")]) == 0
     assert "total 4" in capsys.readouterr().out
     assert len(checks) == 1  # the CLI and sfh() share one validation
-    # one factorization of the defect rows; the periodic basis factors the
-    # kernel once more
+    # one factorization of the defect columns; the periodic basis factors
+    # the kernel once more
     d = checks[0][0]
-    assert sum(args[0] is d.defects.rows for args in factored) == 1
+    assert sum(args[0] is d.defects.columns for args in factored) == 1
     assert len(factored) <= 2
 
 

@@ -9,8 +9,15 @@ from sfh import intlinalg
 from sfh.builders import build_example
 from sfh.moves import permute_ids
 
-from oracles import (dense_smith_normal_form, mat_mul, mat_vec, reduced_columns,
-                     solve)
+from oracles import (dense_hermite_factorization, dense_smith_normal_form,
+                     mat_mul, mat_vec, reduced_columns, solve)
+
+
+def _factor(a, n):
+    """hermite_factorization of the m x n matrix given as dense rows a,
+    handed over as its sparse columns."""
+    return intlinalg.hermite_factorization(
+        [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)])
 
 
 def _dense(a, pivots, kernel, n):
@@ -42,7 +49,7 @@ def _combine(pivots, coeffs, n):
 def _solve(a, b, n):
     """One integer solution x of a x = b, or None, from the Hermite
     factorization: b must reduce to residue 0, and u c solves it."""
-    pivots, _ = intlinalg.hermite_factorization(a, n)
+    pivots, _ = _factor(a, n)
     res, coeffs = _residue(pivots, b)
     return None if any(res) else _combine(pivots, coeffs, n)
 
@@ -81,9 +88,11 @@ def _partition(keys):
 
 def _assert_factorization(a, n, bound):
     """a u = h, u unimodular, h in column echelon form with positive
-    pivots, and no entry of u or h above bound in magnitude (if given).
+    pivots, and no entry of u or h above bound in magnitude (if given);
+    the pivots and kernel columns are those of the dense-row factorization.
     Returns the factorization's pivots and kernel columns."""
-    pivots, kernel = intlinalg.hermite_factorization(a, n)
+    pivots, kernel = _factor(a, n)
+    assert (pivots, kernel) == dense_hermite_factorization(a, n)
     u, h = _dense(a, pivots, kernel, n)
     assert mat_mul(a, u) == h
     assert n == 0 or abs(_det(u)) == 1
@@ -161,7 +170,7 @@ def test_snf_relabeled_torus_lens_stays_small():
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:
-        intlinalg.hermite_factorization(a, n)
+        _factor(a, n)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -182,8 +191,8 @@ def test_hermite_entries_stay_small_under_relabeling():
         d0 = build_example(name, (p,))
         for seed in range(150):
             d = permute_ids(d0, seed)
-            pivots, kernel = intlinalg.hermite_factorization(
-                d.defects.rows, len(d.interior_regions))
+            pivots, kernel = _factor(d.defects.rows,
+                                     len(d.interior_regions))
             biggest = max(biggest, *(abs(x) for _, _, terms, _ in pivots
                                      for _, x in terms),
                           *(abs(x) for *_, u in pivots for x in u.values()),
@@ -256,7 +265,7 @@ def test_kernel_random():
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         a = [[rng.randrange(-5, 6) for _ in range(cols)] for _ in range(rows)]
-        basis = _hermite_kernel(intlinalg.hermite_factorization(a, cols)[1],
+        basis = _hermite_kernel(_factor(a, cols)[1],
                                 cols)
         for vec in basis:
             assert mat_vec(a, vec) == [0] * rows
@@ -352,7 +361,7 @@ def test_hermite_columns_match_the_dense_echelon_loop():
     for d in setup_diagrams():
         n = len(d.interior_regions)
         kernel = [[u.get(j, 0) for j in range(n)] for u in
-                  intlinalg.hermite_factorization(d.defects.rows, n)[1]]
+                  _factor(d.defects.rows, n)[1]]
         assert intlinalg.hermite_columns(kernel) == reduced_columns(kernel), \
             d.name
         kernels += 1
@@ -360,7 +369,8 @@ def test_hermite_columns_match_the_dense_echelon_loop():
 
 
 def test_empty_shapes():
-    assert intlinalg.hermite_factorization([[0, 0]], 2) == \
-        intlinalg.hermite_factorization([], 2) == ([], [{0: 1}, {1: 1}])
+    assert _factor([[0, 0]], 2) == _factor([], 2) == \
+        intlinalg.hermite_factorization([{}, {}]) == ([], [{0: 1}, {1: 1}])
+    assert intlinalg.hermite_factorization([]) == ([], [])
     assert _solve([[0]], [0], 1) == [0]
     assert _solve([[0]], [1], 1) is None

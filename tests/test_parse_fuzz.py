@@ -1,9 +1,12 @@
-"""Mutated diagram files end in one of the library's own errors.
+"""Mutated diagram files end in one of the library's own errors, and the
+parser reads them as the per-token reference parser does.
 
 Hypothesis runs derandomized with a fixed example budget, so the test sees
 the same inputs on every run.  Each example takes one of the packaged
 ``diagrams/*.shd`` files, applies a few token or line edits, and sends the
-text through parse, validate and sfh.
+text through parse, validate and sfh.  ``parse`` and
+``oracles.checked_parse`` must give the same serialized diagram, or raise
+the same error with the same message, line and column.
 """
 from __future__ import annotations
 
@@ -17,6 +20,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from sfh import (InvalidDiagramError, NotAdmissibleError,  # noqa: E402
                  NotBalancedError, NotNiceError, ParseError, parse, sfh)
+
+from oracles import checked_parse  # noqa: E402
+from test_shd import read_outcome  # noqa: E402
 
 DIAGRAM_DIR = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
 FILES = sorted(p.read_text(encoding="utf-8") for p in DIAGRAM_DIR.glob("*.shd"))
@@ -68,6 +74,7 @@ def _mutate(data, text: str) -> str:
 @given(st.data())
 def test_mutated_files_raise_only_library_errors(data):
     text = _mutate(data, data.draw(st.sampled_from(FILES), label="file"))
+    assert read_outcome(parse, text) == read_outcome(checked_parse, text)
     try:
         d = parse(text)
         d.validate()

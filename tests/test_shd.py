@@ -7,6 +7,9 @@ import pytest
 
 from sfh import shd
 from sfh.builders import BUILDERS, build_example
+from sfh.diagram import InvalidDiagramError
+
+from oracles import checked_parse
 
 DIAGRAM_DIR = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
 
@@ -169,3 +172,37 @@ def test_parse_accepts_plus_signs_and_comments():
     d.validate()
     assert d.name == "loop"
     assert d.regions[2].cycles == ((-1,), (2,))
+
+
+def read_outcome(parse, text):
+    """The serialized diagram parse makes of text, or its error's message,
+    with the line and column of a ParseError."""
+    try:
+        return shd.serialize(parse(text))
+    except shd.ParseError as exc:
+        return str(exc), exc.line, exc.column
+    except InvalidDiagramError as exc:
+        return str(exc)
+
+
+def test_single_edits_read_as_the_reference_parser_reads_them():
+    # every token of the packaged files replaced by one word of each error
+    # the format has, or deleted, and every line rejoined with a non-ASCII
+    # blank, which the one-step decode leaves to the per-token reader
+    words = ("0", "-1", "+0", "0_1", "\uff11", "x", "cycle")
+    texts = 0
+    for path in sorted(DIAGRAM_DIR.glob("*.shd")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for at, line in enumerate(lines):
+            toks = line.split()
+            edits = ["\u3000".join(toks)]
+            for k in range(len(toks)):
+                edits += [" ".join(toks[:k] + [w] + toks[k + 1:])
+                          for w in words]
+                edits.append(" ".join(toks[:k] + toks[k + 1:]))
+            for edit in edits:
+                text = "\n".join(lines[:at] + [edit] + lines[at + 1:])
+                assert read_outcome(shd.parse, text) == \
+                    read_outcome(checked_parse, text), (path.name, edit)
+                texts += 1
+    assert texts > 6000
