@@ -150,21 +150,29 @@ class DefectSystem:
     The diagram holds this object as ``Diagram.defects``; rows and labels
     are described at ``defect_system``.  Everything here is shared and must
     not be modified.
+
+    It keeps no reference to its diagram, only two of its tables,
+    ``interior_regions`` and ``crossing_curves``, and caches only ints and
+    tuples: the periodic basis, the admissibility witness and each coset's
+    nonnegative domains are coefficient tuples over ``interior_regions``,
+    which the public functions below wrap in new ``Domain``s.  So dropping
+    the diagram's last reference frees it and this cache by reference
+    counting.
     """
 
     def __init__(self, d: Diagram):
-        self.diagram = d
+        order = self.interior_regions = d.interior_regions
+        self.crossing_curves = d.crossing_curves
         # generator -> [class key, c(g) as (pivot, coefficient) pairs,
         # u c(g) or None until needed, a(g) = w.u c(g) or None until needed]
         self._potentials: dict[tuple[int, ...], list] = {}
         # canonical base coefficients -> the coset's nonnegative domains
-        self._cosets: dict[tuple[int, ...], tuple[Domain, ...]] = {}
+        self._cosets: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         # generator -> its class's grading modulus (``spinc.grading_modulus``)
         self.moduli: dict[Generator, int] = {}
         # (least member, modulus) -> generator -> grading relative to that
         # member (``spinc.relative_gradings``), for classes of several members
         self.gradings: dict[tuple[Generator, int], dict[Generator, int]] = {}
-        order = d.interior_regions
         col = {r: i for i, r in enumerate(order)}
         self.euler = [4 * d.regions[r].euler() - d.crossing_corner_count[r]
                       for r in order]
@@ -211,8 +219,9 @@ class DefectSystem:
             g = tuple(g)
         pot = self._potentials.get(g)
         if pot is None:
-            _check_generator(self.diagram, g)
-            if not self.diagram.interior_regions:
+            if not set(g) <= self.crossing_curves.keys():
+                raise ValueError(f"generator {g} uses non-crossing vertices")
+            if not self.interior_regions:
                 # no regions to solve for: x and y connect when they agree
                 pot = [frozenset(g), [], [], None]
             else:
@@ -232,7 +241,7 @@ class DefectSystem:
         the particular solution of y minus that of x is a domain from x to
         y."""
         if pot[2] is None:
-            sol = [0] * len(self.diagram.interior_regions)
+            sol = [0] * len(self.interior_regions)
             pivots = self.hermite[0]
             for k, q in pot[1]:
                 for j, x in pivots[k][3].items():
@@ -249,15 +258,15 @@ class DefectSystem:
         return pot[3]
 
     @cached_property
-    def periodic(self) -> tuple[Domain, ...]:
+    def periodic(self) -> tuple[tuple[int, ...], ...]:
         """Lattice basis of the periodic domains, in reduced column-echelon
-        form."""
-        n = len(self.diagram.interior_regions)
+        form, each vector as its coefficient tuple over
+        ``interior_regions``."""
+        n = len(self.interior_regions)
         if not n:
             return ()
         kernel = ([u.get(j, 0) for j in range(n)] for u in self.hermite[1])
-        return tuple(Domain(self.diagram, vec)
-                     for vec in intlinalg.hermite_columns(kernel))
+        return tuple(map(tuple, intlinalg.hermite_columns(kernel)))
 
     @cached_property
     def _program(self) -> ratlp.LPResult | None:
@@ -268,27 +277,27 @@ class DefectSystem:
         area the program's duals would give.  The LP decides every other
         lattice."""
         basis = self.periodic
-        sums = [sum(b.coeffs) for b in basis]
+        sums = [sum(b) for b in basis]
         if not any(sums):
             return None
-        bmat = list(zip(*(b.coeffs for b in basis)))
+        bmat = list(zip(*basis))
         a_ub = [[-v for v in row] for row in bmat] + bmat
         b_ub = [0] * len(bmat) + [1] * len(bmat)
         return ratlp.maximize(sums, a_ub, b_ub)
 
     @cached_property
-    def admissibility(self) -> tuple[bool, Domain | None]:
-        """See ``admissibility``."""
+    def admissibility(self) -> tuple[bool, tuple[int, ...] | None]:
+        """See ``admissibility``; the witness is a coefficient tuple."""
         res = self._program
         if res is None or res.objective == 0:
             return True, None
         coeffs = [sum(c * t for c, t in zip(row, res.x))
-                  for row in zip(*(b.coeffs for b in self.periodic))]
+                  for row in zip(*self.periodic)]
         scale = math.lcm(*(v.denominator for v in coeffs))
         ints = [int(v * scale) for v in coeffs]
         g = math.gcd(*ints)
-        witness = Domain(self.diagram, [v // g for v in ints])
-        assert witness.is_nonnegative() and not witness.is_zero()
+        witness = tuple(v // g for v in ints)
+        assert min(witness) >= 0 and any(witness)
         return False, witness
 
     @cached_property
@@ -301,7 +310,7 @@ class DefectSystem:
         scaled to integers is one."""
         res = self._program
         if res is None:
-            return (1,) * len(self.diagram.interior_regions)
+            return (1,) * len(self.interior_regions)
         assert res.objective == 0, "an inadmissible diagram has no area form"
         w = [1 + nu for nu in res.dual[:len(res.dual) // 2]]
         scale = math.lcm(*(v.denominator for v in w))
@@ -317,7 +326,7 @@ class DefectSystem:
         another vector touches too, bounded in ``_search``, and those j
         alone touches, bounded once at ``_walk``'s root.  Then the rows no
         basis vector touches, final from the start."""
-        basis = [b.coeffs for b in self.periodic]
+        basis = self.periodic
         touching: dict[int, list[int]] = {}
         for j, b in enumerate(basis):
             for r, c in enumerate(b):
@@ -331,7 +340,7 @@ class DefectSystem:
                             [(r, c) for r, c in terms
                              if touching[r][-1] == j and len(touching[r]) > 1],
                             [(r, c) for r, c in terms if touching[r] == [j]]))
-        untouched = [r for r in range(len(self.diagram.interior_regions))
+        untouched = [r for r in range(len(self.interior_regions))
                      if r not in touching]
         return vectors, untouched
 
@@ -347,18 +356,18 @@ class DefectSystem:
                     sol[i] -= q * c
         return tuple(sol)
 
-    def nonnegative(self, base: tuple[int, ...]) -> tuple[Domain, ...]:
-        """The nonnegative domains of base's coset, ordered by coefficients;
-        base must be canonical, as ``_base`` returns it, and the diagram
-        admissible."""
+    def nonnegative(self, base: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The coefficient tuples of the nonnegative domains of base's
+        coset, in increasing order; base must be canonical, as ``_base``
+        returns it, and the diagram admissible."""
         found = self._cosets.get(base)
         if found is None:
             found = self._cosets[base] = self._walk(base)
         return found
 
-    def _walk(self, base: tuple[int, ...]) -> tuple[Domain, ...]:
-        """The nonnegative D = base + sum t_j basis_j, sorted by
-        coefficients; base must be canonical.
+    def _walk(self, base: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The nonnegative D = base + sum t_j basis_j, as sorted
+        coefficient tuples; base must be canonical.
 
         Every such D has the coset's area A = w.base, so none exists when
         A < 0, and when A = 0 only D = 0 could, which lies in the coset
@@ -380,7 +389,7 @@ class DefectSystem:
             if not 0 <= base[r] <= caps[r]:
                 return ()
         if not vectors:
-            return (Domain(self.diagram, base),)
+            return (base,)
         roots = []
         for _, _, _, _, alone in vectors:
             lo, hi = _interval(-math.inf, math.inf, alone, base, caps)
@@ -390,7 +399,7 @@ class DefectSystem:
         return self._search(base, caps, roots)
 
     def _search(self, base: tuple[int, ...], caps: list[int],
-                roots: list[tuple[int, int]]) -> tuple[Domain, ...]:
+                roots: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
         """``_walk``'s depth-first search, under the row caps A // w_r and
         the root interval of each t_j.  A row becomes final once t_j is
         chosen for the last basis vector j that touches it, and t_j is
@@ -398,7 +407,8 @@ class DefectSystem:
         that other vectors touch too, so no kept step is undone later; a
         branch ends only where a later interval is empty.  Leads are
         positive and increase with j, so taking each t_j in increasing
-        order yields the domains already sorted."""
+        order yields the domains already sorted.  Each leaf is kept as its
+        coefficient tuple."""
         vectors = self._echelon[0]
 
         def steps(cur: list[int], j: int) -> range:
@@ -427,7 +437,7 @@ class DefectSystem:
                 for i, c in vectors[j][2]:
                     nxt[i] += t * c
             if j == last:
-                out.append(Domain(self.diagram, nxt))
+                out.append(tuple(nxt))
             else:
                 stack.append((nxt, j + 1, iter(steps(nxt, j + 1))))
         return tuple(out)
@@ -459,14 +469,10 @@ def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:
     return d.defects.rows, d.defects.labels
 
 
-def _check_generator(d: Diagram, g: Generator) -> None:
-    if not set(g) <= d.crossing_curves.keys():
-        raise ValueError(f"generator {g} uses non-crossing vertices")
-
-
 def periodic_basis(d: Diagram) -> list[Domain]:
-    """Lattice basis of the periodic domains, in column-echelon form."""
-    return list(d.defects.periodic)
+    """Lattice basis of the periodic domains, in column-echelon form, as
+    new Domains on every call."""
+    return [Domain(d, b) for b in d.defects.periodic]
 
 
 def h2_rank(d: Diagram) -> int:
@@ -500,15 +506,16 @@ def admissibility(d: Diagram) -> tuple[bool, Domain | None]:
     Admissible means every nonzero periodic domain takes a negative
     multiplicity somewhere.  Searching the unit box for a rational periodic
     point with positive total and clearing denominators makes the witness
-    exact.
+    exact.  The witness is a new Domain on every call.
     """
-    return d.defects.admissibility
+    ok, witness = d.defects.admissibility
+    return ok, None if ok else Domain(d, witness)
 
 
 def require_admissible(d: Diagram) -> None:
     ok, witness = d.defects.admissibility
     if not ok:
-        raise NotAdmissibleError(witness)
+        raise NotAdmissibleError(Domain(d, witness))
 
 
 # -- positive domain enumeration ---------------------------------------------
@@ -525,14 +532,17 @@ def positive_connecting_domains(d: Diagram, x: Generator,
     one with A = 0 whose point sets differ get [] at once.  Pairs with the
     same canonical connecting domain share one coset of the periodic
     lattice, and so one answer: each coset is walked once per diagram
-    (``DefectSystem.nonnegative``).  The list is new on every call, but its
-    Domains are shared and must not be modified."""
-    require_admissible(d)
+    (``DefectSystem.nonnegative``), which keeps coefficient tuples; the
+    list and its Domains are new on every call."""
     ds = d.defects
+    if not ds.admissibility[0]:  # the cached verdict; raise with its witness
+        require_admissible(d)
     px, py = ds._potential(x), ds._potential(y)
     if px[0] != py[0]:
         return []
-    area = ds._area(py) - ds._area(px)
+    ax, ay = px[3], py[3]
+    area = ((ds._area(py) if ay is None else ay)
+            - (ds._area(px) if ax is None else ax))
     if area < 0 or not area and set(x) != set(y):
         return []
-    return list(ds.nonnegative(ds._base(px, py)))
+    return [Domain(d, c) for c in ds.nonnegative(ds._base(px, py))]

@@ -127,7 +127,7 @@ def verify_d_squared(d: Diagram, members: tuple[Generator, ...],
             for z in targets:
                 w = index_weights(d, members[i], z)
                 for dom in positive_connecting_domains(d, members[i], z):
-                    if _index(w, dom) == 2:
+                    if _index(w, dom.coeffs) == 2:
                         lines.append(f"  index-2 domain: {dom.describe()}")
             raise RuntimeError("; ".join(lines))
 

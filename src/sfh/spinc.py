@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .diagram import Diagram, Generator, enumerate_generators
-from .domains import Domain, connecting_domain
+from .domains import connecting_domain
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ def index_weights(d: Diagram, x: Generator, y: Generator) -> list[int]:
     return w
 
 
-def _index(w: list[int], dom: Domain) -> int:
-    """mu(dom) from its pair's ``index_weights`` w, unchecked: dom must
-    connect that pair."""
-    total = sum(a * c for a, c in zip(w, dom.coeffs))
+def _index(w: list[int], coeffs: tuple[int, ...]) -> int:
+    """mu(D) for the domain D with coefficients coeffs, from its pair's
+    ``index_weights`` w, unchecked: D must connect that pair."""
+    total = sum(a * c for a, c in zip(w, coeffs))
     if total % 4:
         raise RuntimeError(f"fractional index {total}/4 for a connecting domain")
     return total // 4
@@ -112,7 +112,7 @@ def relative_gradings(d: Diagram, members: tuple[Generator, ...],
             dom = connecting_domain(d, g, least)
             if dom is None:
                 raise ValueError(f"{g} and {least} are not in the same class")
-            val = _index(index_weights(d, g, least), dom)
+            val = _index(index_weights(d, g, least), dom.coeffs)
             val = known[g] = val % modulus if modulus else val
         out[g] = val
     return out

@@ -776,7 +776,7 @@ def maslov_index(d: Diagram, dom: Domain, x: Generator,
     for row, want in zip(d.defects.rows, rhs):
         if sum(a * c for a, c in zip(row, dom.coeffs)) != want:
             return None
-    return _index(index_weights(d, x, y), dom)
+    return _index(index_weights(d, x, y), dom.coeffs)
 
 
 # -- connecting domains by a per-pair Smith solve ------------------------------
@@ -818,10 +818,10 @@ def normalized(d: Diagram, sol: list[int]) -> Domain:
     ``connecting_domain`` returns: sol reduced against each echelon
     periodic basis vector at its lead."""
     for b in d.defects.periodic:
-        lead = next(i for i, c in enumerate(b.coeffs) if c)
-        q = sol[lead] // b.coeffs[lead]
+        lead = next(i for i, c in enumerate(b) if c)
+        q = sol[lead] // b[lead]
         if q:
-            sol = [s - q * c for s, c in zip(sol, b.coeffs)]
+            sol = [s - q * c for s, c in zip(sol, b)]
     return Domain(d, sol)
 
 
@@ -871,12 +871,13 @@ def brute_force_positive_domains(d: Diagram, x: Generator, y: Generator,
 
 
 def reference_walk(ds: DefectSystem,
-                   base: tuple[int, ...]) -> tuple[Domain, ...]:
+                   base: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """``DefectSystem._walk`` as it bounded only the lead row: t_j ranges
     over the steps that keep row leads[j] within [0, A // w_lead], and a
-    step that leaves another newly final row negative is rejected."""
+    step that leaves another newly final row negative is rejected.  The
+    domains are coefficient tuples, in increasing order."""
     basis, w = ds.periodic, ds.area
-    leads = [next(i for i, c in enumerate(b.coeffs) if c) for b in basis]
+    leads = [next(i for i, c in enumerate(b) if c) for b in basis]
     area = sum(a * c for a, c in zip(w, base))
     cuts = [0, *leads, len(w)]
     out = []
@@ -888,16 +889,16 @@ def reference_walk(ds: DefectSystem,
             if any(c < 0 for c in cur[cuts[j]:cuts[j + 1]]):
                 continue
             if j == len(basis):
-                out.append(Domain(ds.diagram, cur))
+                out.append(tuple(cur))
                 continue
-            child, lead = basis[j].coeffs, leads[j]
+            child, lead = basis[j], leads[j]
             p = child[lead]
             stack.append((cur, child, iter(range(
                 -(cur[lead] // p), (area // w[lead] - cur[lead]) // p + 1)), j + 1))
             break
         else:
             stack.pop()
-    out.sort(key=lambda dom: dom.coeffs)
+    out.sort()
     return tuple(out)
 
 
@@ -908,7 +909,7 @@ def box_walk(ds: DefectSystem, base: tuple[int, ...]) -> list[tuple[int, ...]]:
     lattice.  Periodic domains have area 0, so only the box's vectors of
     area A are listed and tested; membership reduces the difference by the
     echelon basis, which must divide each lead exactly and leave 0."""
-    basis, w = [b.coeffs for b in ds.periodic], ds.area
+    basis, w = ds.periodic, ds.area
     area = sum(a * c for a, c in zip(w, base))
     if area < 0:
         return []
@@ -942,10 +943,10 @@ def admissibility_program(ds: DefectSystem) -> ratlp.LPResult:
     ``DefectSystem._program`` built it before all-ones certified the
     lattices whose basis sums vanish: max 1.Bt over 0 <= Bt <= 1."""
     basis = ds.periodic
-    bmat = list(zip(*(b.coeffs for b in basis)))
+    bmat = list(zip(*basis))
     a_ub = [[-v for v in row] for row in bmat] + bmat
     b_ub = [0] * len(bmat) + [1] * len(bmat)
-    return ratlp.maximize([sum(b.coeffs) for b in basis], a_ub, b_ub)
+    return ratlp.maximize([sum(b) for b in basis], a_ub, b_ub)
 
 
 def oracle_rigid(d: Diagram, vec: tuple[int, ...], x: Generator,

@@ -252,7 +252,7 @@ def test_hermite_matches_dense_smith_on_defect_matrices():
         a, n = d.defects.rows, len(d.interior_regions)
         _, kernel = _assert_factorization(a, n, 1000)
         snf = dense_smith_normal_form(a or [[0] * n])
-        basis = [list(b.coeffs) for b in d.defects.periodic]
+        basis = [list(b) for b in d.defects.periodic]
         assert basis == _hermite_kernel(kernel, n) == _smith_kernel(snf, n), \
             d.name
         count += 1

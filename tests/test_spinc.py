@@ -200,7 +200,7 @@ def planted():
 
 x, y = enumerate_generators(planted())
 print("debug", __debug__)
-for check in (lambda d: _index(index_weights(d, y, x), Domain.from_dict(d, {2: 1})),
+for check in (lambda d: _index(index_weights(d, y, x), Domain.from_dict(d, {2: 1}).coeffs),
               lambda d: grading_modulus(d, x),
               lambda d: relative_gradings(d, (x, y), 0),
               sfh):
