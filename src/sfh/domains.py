@@ -41,10 +41,20 @@ its root, those no basis vector touches and those a single vector
 touches, and returns an empty coset from there; otherwise its depth-first
 search bounds every row as soon as its choices make the row final, at the
 last basis vector that touches it, so every step it keeps stays within
-the box.  The walk's answer depends only on the coset, which the
-canonical connecting domain names, so each coset is walked once per
-diagram and its nonnegative domains are kept for every later pair that
-shares it.
+the box.
+
+A pair's answer depends only on the points it exchanges, x minus y and
+y minus x, its exchange key.  Its right-hand side is
+R(y) - R(x) = sum over p in y - x of v_p minus sum over p in x - y of v_p,
+with v_p = e_(p, alpha) - e_(p, beta), and the v_p of distinct crossings
+sit on disjoint rows; so the right-hand side is a function of the key,
+and with it the pair's connectedness, its area and its nonnegative
+domains, all functions of the right-hand side alone.  Conversely the
+right-hand side reads the key back, so distinct keys have distinct
+cosets.  Each diagram keeps one answer per key: the first pair with a
+key is decided as above, walking its coset only when its area is
+positive, and every later pair with that key is one lookup, with no key
+comparison, area or reduction.
 """
 from __future__ import annotations
 
@@ -76,6 +86,20 @@ class Domain:
         self.coeffs = tuple(coeffs)
         if len(self.coeffs) != len(diagram.interior_regions):
             raise ValueError("coefficient count does not match interior regions")
+
+    @classmethod
+    def _list(cls, diagram: Diagram, rows) -> list["Domain"]:
+        """New Domains on diagram, one per coefficient tuple of rows, without
+        the length check: for tuples this module built over the diagram's
+        interior regions."""
+        new = object.__new__
+        out = []
+        for coeffs in rows:
+            dom = new(cls)
+            dom.diagram = diagram
+            dom.coeffs = coeffs
+            out.append(dom)
+        return out
 
     @classmethod
     def zero(cls, diagram: Diagram) -> "Domain":
@@ -112,14 +136,18 @@ class Domain:
         return all(c >= 0 for c in self.coeffs)
 
     def __add__(self, other: "Domain") -> "Domain":
-        assert self.diagram is other.diagram
+        self._same_diagram(other)
         return Domain(self.diagram,
                       tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Domain") -> "Domain":
-        assert self.diagram is other.diagram
+        self._same_diagram(other)
         return Domain(self.diagram,
                       tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def _same_diagram(self, other: "Domain") -> None:
+        if self.diagram is not other.diagram:
+            raise ValueError("domains of different diagrams do not combine")
 
     def __eq__(self, other):
         return (isinstance(other, Domain) and self.diagram is other.diagram
@@ -138,7 +166,7 @@ class Domain:
 class DefectSystem:
     """One diagram's defect matrix and what derives from it: the column
     Hermite factorization, each generator's potential, the echelon periodic
-    basis, the admissibility verdict, the area form, each coset's
+    basis, the admissibility verdict, the area form, each exchange key's
     nonnegative domains and each class's grading modulus and gradings,
     each built at most once, on first use.  euler and quads give four times
     the Maslov index in integers: 4 e(r) minus its crossing corners per
@@ -153,21 +181,28 @@ class DefectSystem:
 
     It keeps no reference to its diagram, only two of its tables,
     ``interior_regions`` and ``crossing_curves``, and caches only ints and
-    tuples: the periodic basis, the admissibility witness and each coset's
-    nonnegative domains are coefficient tuples over ``interior_regions``,
-    which the public functions below wrap in new ``Domain``s.  So dropping
-    the diagram's last reference frees it and this cache by reference
-    counting.
+    tuples: the periodic basis, the admissibility witness and each pair
+    answer are coefficient tuples over ``interior_regions``, which the
+    public functions below wrap in new ``Domain``s.  So dropping the
+    diagram's last reference frees it and this cache by reference counting.
+
+    The pair answers, ``_pairs``, are kept under each pair's exchange key
+    (x minus y, y minus x), two bitmasks over crossing indices read from
+    the generators' point masks, which ``_potential`` builds with R(g).
+    The key fixes the pair's right-hand side (see the module docstring), so
+    the answer is exact for every pair with that key.
     """
 
     def __init__(self, d: Diagram):
         order = self.interior_regions = d.interior_regions
         self.crossing_curves = d.crossing_curves
         # generator -> [class key, c(g) as (pivot, coefficient) pairs,
-        # u c(g) or None until needed, a(g) = w.u c(g) or None until needed]
+        # u c(g) or None until needed, a(g) = w.u c(g) or None until needed,
+        # the bitmask of its points over crossing indices]
         self._potentials: dict[tuple[int, ...], list] = {}
-        # canonical base coefficients -> the coset's nonnegative domains
-        self._cosets: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        # exchange key (x minus y, y minus x) as two point bitmasks -> the
+        # pair's nonnegative domains (``positive_connecting_domains``)
+        self._pairs: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         # generator -> its class's grading modulus (``spinc.grading_modulus``)
         self.moduli: dict[Generator, int] = {}
         # (least member, modulus) -> generator -> grading relative to that
@@ -219,19 +254,22 @@ class DefectSystem:
             g = tuple(g)
         pot = self._potentials.get(g)
         if pot is None:
-            if not set(g) <= self.crossing_curves.keys():
+            points = set(g)
+            if not points <= self.crossing_curves.keys():
                 raise ValueError(f"generator {g} uses non-crossing vertices")
-            if not self.interior_regions:
-                # no regions to solve for: x and y connect when they agree
-                pot = [frozenset(g), [], [], None]
-            else:
-                res = [0] * len(self.labels)
-                for p in set(g):
-                    i = self._alpha_row[p]
-                    res[i] += 1
-                    res[i + 1] -= 1
+            res = [0] * len(self.labels)
+            mask = 0
+            for p in points:
+                i = self._alpha_row[p]
+                res[i] += 1
+                res[i + 1] -= 1
+                mask |= 1 << (i >> 1)
+            if self.interior_regions:
                 coeffs = intlinalg.hermite_reduce(self.hermite[0], res)
-                pot = [tuple(res), coeffs, None, None]
+                pot = [tuple(res), coeffs, None, None, mask]
+            else:
+                # no regions to solve for: x and y connect when they agree
+                pot = [tuple(res), [], [], None, mask]
             self._potentials[g] = pot
         return pot
 
@@ -356,14 +394,18 @@ class DefectSystem:
                     sol[i] -= q * c
         return tuple(sol)
 
-    def nonnegative(self, base: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The coefficient tuples of the nonnegative domains of base's
-        coset, in increasing order; base must be canonical, as ``_base``
-        returns it, and the diagram admissible."""
-        found = self._cosets.get(base)
-        if found is None:
-            found = self._cosets[base] = self._walk(base)
-        return found
+    def _pair(self, px: list, py: list) -> tuple[tuple[int, ...], ...]:
+        """The coefficient tuples of the nonnegative domains from x to y, in
+        increasing order, given their potentials px and py; the diagram must
+        be admissible.  A disconnected pair has none, nor one of area
+        A = a(y) - a(x) < 0, nor one of A = 0 whose point sets differ; only
+        the rest form the canonical base and walk its coset."""
+        if px[0] != py[0]:
+            return ()
+        area = self._area(py) - self._area(px)
+        if area < 0 or not area and px[4] != py[4]:
+            return ()
+        return self._walk(self._base(px, py))
 
     def _walk(self, base: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """The nonnegative D = base + sum t_j basis_j, as sorted
@@ -527,22 +569,22 @@ def positive_connecting_domains(d: Diagram, x: Generator,
     Requires an admissible diagram, which is exactly the condition that
     makes this set finite.
 
-    The pair's area A = a(y) - a(x) is read from the two potentials
-    before any domain is formed: a disconnected pair, one with A < 0, and
-    one with A = 0 whose point sets differ get [] at once.  Pairs with the
-    same canonical connecting domain share one coset of the periodic
-    lattice, and so one answer: each coset is walked once per diagram
-    (``DefectSystem.nonnegative``), which keeps coefficient tuples; the
-    list and its Domains are new on every call."""
+    The answer depends only on the points the pair exchanges, x minus y and
+    y minus x, so it is kept per diagram under that exchange key
+    (``DefectSystem._pairs``): a pair whose key an earlier pair had is
+    answered by one lookup, with no key comparison, area, vector difference
+    or reduction.  A new key is decided by ``DefectSystem._pair``: a
+    disconnected pair, one with area A = a(y) - a(x) < 0 and one with A = 0
+    whose point sets differ get no domain, and only the rest form the
+    canonical base and walk its coset.  The cache keeps coefficient tuples;
+    the list and its Domains are new on every call."""
     ds = d.defects
     if not ds.admissibility[0]:  # the cached verdict; raise with its witness
         require_admissible(d)
     px, py = ds._potential(x), ds._potential(y)
-    if px[0] != py[0]:
-        return []
-    ax, ay = px[3], py[3]
-    area = ((ds._area(py) if ay is None else ay)
-            - (ds._area(px) if ax is None else ax))
-    if area < 0 or not area and set(x) != set(y):
-        return []
-    return [Domain(d, c) for c in ds.nonnegative(ds._base(px, py))]
+    mx, my = px[4], py[4]
+    key = mx & ~my, my & ~mx
+    found = ds._pairs.get(key)
+    if found is None:
+        found = ds._pairs[key] = ds._pair(px, py)
+    return Domain._list(d, found) if found else []

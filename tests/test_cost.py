@@ -88,11 +88,29 @@ def test_a_coset_rejected_at_the_root_is_not_searched(monkeypatch):
         walks.clear()
         searches.clear()
         sfh(d)
-        nonempty = sum(bool(d.defects._cosets[base]) for _, base in walks)
+        # each walk's answer is kept under its pair's exchange key, and a
+        # key that is not walked keeps ()
+        nonempty = sum(map(bool, d.defects._pairs.values()))
         assert len(searches) <= nonempty, d.name
         if d.name == "spheres(5)":
             # 16 of its 31 cosets are empty, and none of them is searched
             assert len(walks) - len(searches) >= 16, (len(walks), len(searches))
+
+
+def test_canonical_bases_are_formed_per_exchange_key_not_per_pair(
+        monkeypatch):
+    # pair searches share one answer per exchange key, so the only bases
+    # they form are the walked ones; the class partition and the gradings
+    # each form one more per member besides the class's least
+    bases = _count_calls(monkeypatch, DefectSystem, "_base")
+    walks = _count_calls(monkeypatch, DefectSystem, "_walk")
+    for d in (*_sweep(), build_example("spheres", [8])):
+        bases.clear()
+        walks.clear()
+        result = sfh(d)
+        others = sum(len(c.members) - 1 for c in result.classes)
+        assert len(bases) <= len(walks) + 2 * others, (
+            d.name, len(bases), len(walks), others)
 
 
 def test_gradings_sum_at_most_rank_plus_class_size_indices(monkeypatch):

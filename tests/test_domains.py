@@ -3,10 +3,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sfh
 from sfh import homology, intlinalg, ratlp
 from sfh.builders import BUILDERS, build_example
 from sfh.diagram import ALPHA, BETA, enumerate_generators
@@ -462,13 +467,14 @@ def test_pairs_of_no_positive_area_are_answered_without_a_base(monkeypatch):
             planted += set(d.defects.area) != {1}
     assert (decided, planted) == (5074, 151)
     # on spheres(5), one class of 16 generators, 147 of the 240 pairs
-    # that boundary_matrix searches are answered from the areas alone
+    # that boundary_matrix searches are answered from the areas alone, and
+    # the other 93 share 31 exchange keys, one base for each
     d = build_example("spheres", [5])
     gens = enumerate_generators(d)
     bases.clear()
     for x, y in itertools.permutations(gens, 2):
         positive_connecting_domains(d, x, y)
-    assert len(gens) == 16 and len(bases) == 240 - 147
+    assert len(gens) == 16 and len(bases) == 31
 
 
 def test_every_nonnegative_domain_has_the_grading_drop_as_index(monkeypatch):
@@ -623,6 +629,74 @@ def test_positive_domains_memo_is_exact_and_isolated():
         cosets += len({base.coeffs for base in bases if base is not None})
     # pairs do share cosets, so later pairs read what earlier ones walked
     assert pairs == 564 and cosets < connected
+
+
+def test_pair_cache_answers_each_pair_as_its_own_walk():
+    # one answer per exchange key: every ordered pair, x == y included, is
+    # searched forward and then in reverse, so the second pass reads what
+    # the first kept, and each answer is the oracle walk of the pair's
+    # canonical domain and the answer on a fresh copy
+    spheres6 = build_example("spheres", [6])
+    diagrams = itertools.chain(
+        _walk_variants(), (permute_ids(spheres6, seed) for seed in (7, 8)))
+    pairs = keys = 0
+    for d in diagrams:
+        ds, n = d.defects, len(d.interior_regions)
+        order = list(itertools.product(enumerate_generators(d), repeat=2))
+        walked = {}
+        want = {}
+        for x, y in order:
+            base = connecting_domain(d, x, y)
+            if base is not None and base.coeffs not in walked:
+                walked[base.coeffs] = list(reference_walk(ds, base.coeffs))
+            want[x, y] = [] if base is None else walked[base.coeffs]
+        for x, y in order + order[::-1]:
+            got = positive_connecting_domains(d, x, y)
+            assert all(len(dom.coeffs) == n for dom in got), (d.name, x, y)
+            assert [dom.coeffs for dom in got] == want[x, y], (d.name, x, y)
+        fresh = parse(serialize(d))
+        for x, y in order:
+            assert [dom.coeffs for dom in positive_connecting_domains(
+                fresh, x, y)] == want[x, y], (d.name, x, y)
+        # one answer per exchange, and none shared by two exchanges: on the
+        # lens parts, x minus y does not fix y minus x
+        exchanges = {(frozenset(x) - frozenset(y), frozenset(y) - frozenset(x))
+                     for x, y in order}
+        assert len(ds._pairs) == len(exchanges), d.name
+        pairs += len(order)
+        keys += len(ds._pairs)
+    # pairs share keys, so more than half of the first pass is lookups too
+    assert pairs >= 28000 and keys < pairs // 2, (pairs, keys)
+
+
+_MIXED_DIAGRAMS = """
+from sfh.builders import build_example
+from sfh.domains import Domain
+
+print("debug", __debug__)
+a = Domain.zero(build_example("spheres", [3]))
+b = Domain.zero(build_example("spheres", [3]))
+for combine in (a.__add__, a.__sub__):
+    try:
+        print("returned", combine(b))
+    except ValueError as e:
+        print("raised", e)
+"""
+
+
+def test_domains_of_different_diagrams_do_not_combine_also_under_optimize(
+        capsys):
+    # python -O strips asserts, so the diagram check raises
+    exec(_MIXED_DIAGRAMS, {})
+    inline = capsys.readouterr().out.splitlines()
+    env = dict(os.environ, PYTHONPATH=str(Path(sfh.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _MIXED_DIAGRAMS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    optimized = proc.stdout.splitlines()
+    assert optimized[0] == "debug False" and inline[1:] == optimized[1:]
+    assert optimized[1:] == [
+        "raised domains of different diagrams do not combine"] * 2
 
 
 def test_positive_domains_on_grid_fixture(grid2):
