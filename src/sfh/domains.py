@@ -4,6 +4,8 @@ A domain is an integer combination of the interior regions, the regions
 whose closure misses the boundary of the surface.  Regions touching the
 boundary are frozen at multiplicity zero, which is what makes the counts
 below compute the boundary-sensitive invariant rather than a closed one.
+Everything below computes on coefficient tuples; the public functions
+wrap them in ``Domain``s.
 
 The defect system encodes how the alpha and beta pieces of a domain's
 boundary terminate at crossings.  Connecting domains from x to y are its
@@ -77,7 +79,10 @@ class NotAdmissibleError(ValueError):
 
 
 class Domain:
-    """Integer multiplicities on the interior regions of one diagram."""
+    """Integer multiplicities on the interior regions of one diagram, the
+    read-only type the public functions hand out: ``diagram``, ``coeffs``
+    (one per ``diagram.interior_regions``, count checked), ``coeff``,
+    ``as_dict``, ``describe``, and equality on the same diagram object."""
 
     __slots__ = ("diagram", "coeffs")
 
@@ -101,19 +106,6 @@ class Domain:
             out.append(dom)
         return out
 
-    @classmethod
-    def zero(cls, diagram: Diagram) -> "Domain":
-        return cls(diagram, (0,) * len(diagram.interior_regions))
-
-    @classmethod
-    def from_dict(cls, diagram: Diagram, data: dict[int, int]) -> "Domain":
-        order = diagram.interior_regions
-        unknown = set(data) - set(order)
-        if unknown:
-            raise ValueError(
-                f"regions {sorted(unknown)} are not interior regions")
-        return cls(diagram, tuple(data.get(r, 0) for r in order))
-
     def coeff(self, region_id: int) -> int:
         try:
             return self.coeffs[self.diagram.interior_regions.index(region_id)]
@@ -128,26 +120,6 @@ class Domain:
     def describe(self) -> str:
         parts = [f"r{r}:{c}" for r, c in sorted(self.as_dict().items())]
         return " ".join(parts) if parts else "empty"
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
-    def __add__(self, other: "Domain") -> "Domain":
-        self._same_diagram(other)
-        return Domain(self.diagram,
-                      tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Domain") -> "Domain":
-        self._same_diagram(other)
-        return Domain(self.diagram,
-                      tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def _same_diagram(self, other: "Domain") -> None:
-        if self.diagram is not other.diagram:
-            raise ValueError("domains of different diagrams do not combine")
 
     def __eq__(self, other):
         return (isinstance(other, Domain) and self.diagram is other.diagram
@@ -172,12 +144,14 @@ class DefectSystem:
     the Maslov index in integers: 4 e(r) minus its crossing corners per
     interior region r, and per crossing the columns of its interior
     quadrants (combined per pair by ``spinc.index_weights``).
-    The defect matrix is kept as ``columns``, one {row: nonzero entry} per
-    interior region, which is what the factorization reads; ``rows``, its
-    dense form, is built only when read (``defect_system``).
-    The diagram holds this object as ``Diagram.defects``; rows and labels
-    are described at ``defect_system``.  Everything here is shared and must
-    not be modified.
+    The defect matrix has one row per (crossing, curve kind), labelled in
+    ``labels``, and one column per interior region in sorted order.  Rows
+    for markers are omitted: the two edges at a marker have the same
+    flanking regions, so those conditions hold identically.  It is kept
+    only as ``columns``, one {row: nonzero entry} per interior region,
+    which is what the factorization reads.  The diagram holds this object
+    as ``Diagram.defects``.  Everything here is shared and must not be
+    modified.
 
     It keeps no reference to its diagram, only two of its tables,
     ``interior_regions`` and ``crossing_curves``, and caches only ints and
@@ -235,13 +209,6 @@ class DefectSystem:
                         c[tail] = c.get(tail, 0) - sign
         self.columns = [{i: x for i, x in by_region[r].items() if x}
                         for r in order]
-
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        """The defect matrix as dense rows, built on first read (the
-        factorization reads ``columns``)."""
-        return [[c.get(i, 0) for c in self.columns]
-                for i in range(len(self.labels))]
 
     @cached_property
     def hermite(self) -> tuple[list[intlinalg.Pivot], list[dict[int, int]]]:
@@ -335,7 +302,9 @@ class DefectSystem:
         ints = [int(v * scale) for v in coeffs]
         g = math.gcd(*ints)
         witness = tuple(v // g for v in ints)
-        assert min(witness) >= 0 and any(witness)
+        if min(witness) < 0 or not any(witness):
+            raise RuntimeError(f"admissibility witness {witness} is not a "
+                               "nonzero nonnegative periodic domain")
         return False, witness
 
     @cached_property
@@ -349,7 +318,8 @@ class DefectSystem:
         res = self._program
         if res is None:
             return (1,) * len(self.interior_regions)
-        assert res.objective == 0, "an inadmissible diagram has no area form"
+        if not self.admissibility[0]:
+            raise ValueError("an inadmissible diagram has no area form")
         w = [1 + nu for nu in res.dual[:len(res.dual) // 2]]
         scale = math.lcm(*(v.denominator for v in w))
         return tuple(int(v * scale) for v in w)
@@ -496,19 +466,6 @@ def _interval(lo, hi, rows: list[tuple[int, int]], cur: list[int],
         else:
             lo, hi = max(lo, -((caps[r] - c) // -k)), min(hi, c // -k)
     return lo, hi
-
-
-def defect_system(d: Diagram) -> tuple[list[list[int]], list[tuple[int, str]]]:
-    """Matrix of the boundary-termination conditions at the crossings.
-
-    One row per (crossing, curve kind), columns indexed by the interior
-    regions in sorted order.  Rows for markers are omitted: the two edges
-    at a marker have the same flanking regions, so those conditions hold
-    identically.  The rows are a dense view of ``DefectSystem.columns``,
-    built on the first call; the lists are the diagram's own, so do not
-    modify them.
-    """
-    return d.defects.rows, d.defects.labels
 
 
 def periodic_basis(d: Diagram) -> list[Domain]:

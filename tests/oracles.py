@@ -373,10 +373,11 @@ def dense_hermite_factorization(a: list[list[int]], n: int) -> tuple[list, list[
 
 def per_crossing_defect_system(d: Diagram) -> tuple[list[list[int]],
                                                     list[tuple[int, str]]]:
-    """The defect rows and labels of ``defect_system``, with every edge
-    scanned once per crossing and curve: an edge of that curve ending at the
-    crossing adds its flanking interior regions (+1 on its left, -1 on its
-    right), one starting there subtracts them, and a loop does neither."""
+    """The defect matrix as dense rows, one per ``DefectSystem.labels``
+    entry, and those labels, with every edge scanned once per crossing and
+    curve: an edge of that curve ending at the crossing adds its flanking
+    interior regions (+1 on its left, -1 on its right), one starting there
+    subtracts them, and a loop does neither."""
     sides = edge_sides(d)
     col = {r: i for i, r in enumerate(interior_regions(d))}
     rows, labels = [], []
@@ -773,7 +774,7 @@ def maslov_index(d: Diagram, dom: Domain, x: Generator,
     """Index of a domain from x to y: Euler measure plus the two point
     measures.  None when the domain does not connect x to y."""
     rhs = defect_rhs(d, x, y)
-    for row, want in zip(d.defects.rows, rhs):
+    for row, want in zip(_defect_rows(d), rhs):
         if sum(a * c for a, c in zip(row, dom.coeffs)) != want:
             return None
     return _index(index_weights(d, x, y), dom.coeffs)
@@ -801,6 +802,14 @@ def solve(snf, ub: list[int]) -> list[int] | None:
 
 
 @functools.lru_cache(maxsize=16)
+def _defect_rows(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    # per_crossing_defect_system's rows, scanned once for each of the last
+    # diagrams asked about, which the Maslov index and Smith oracles read
+    # once per pair
+    return tuple(map(tuple, per_crossing_defect_system(d)[0]))
+
+
+@functools.lru_cache(maxsize=16)
 def _defect_smith(rows: tuple[tuple[int, ...], ...], n: int):
     # a zero row stands in for none
     return dense_smith_normal_form([list(r) for r in rows] or [[0] * n])
@@ -809,8 +818,7 @@ def _defect_smith(rows: tuple[tuple[int, ...], ...], n: int):
 def defect_smith(d: Diagram):
     """The Smith form (u, s, v) of d's defect rows, one zero row standing in
     for none; d must have interior regions."""
-    return _defect_smith(tuple(map(tuple, d.defects.rows)),
-                         len(d.interior_regions))
+    return _defect_smith(_defect_rows(d), len(d.interior_regions))
 
 
 def normalized(d: Diagram, sol: list[int]) -> Domain:

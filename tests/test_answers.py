@@ -13,14 +13,16 @@ sweep, the walk variants (which hold the nice variants) and the setup
 diagrams of the other test modules.
 
 The file changes only with answers that change on purpose.  Rewrite it with
-``python tests/test_answers.py --write``; without ``--write`` the script
-prints the lines it would write.
+``python tests/test_answers.py --write``.  With ``--stdin`` the script
+instead prints the lines of the NUL-separated texts on its input, which is
+how the test runs the digests again under ``python -O``.
 """
 from __future__ import annotations
 
 import hashlib
 import subprocess
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -34,10 +36,6 @@ from sfh import (InvalidDiagramError, NotAdmissibleError, NotBalancedError,
                  NotNiceError, ParseError, boundary_matrix, parse, serialize,
                  sfh)
 
-from test_cost import _sweep
-from test_homology import _walk_variants
-from test_intlinalg import setup_diagrams
-
 REJECTED = (ParseError, InvalidDiagramError, NotBalancedError,
             NotAdmissibleError, NotNiceError)
 
@@ -48,6 +46,12 @@ def _hash(text: str) -> str:
 
 def texts() -> dict[str, str]:
     """The distinct input texts by key, in the order first built."""
+    # imported here, so that the -O run, which is handed the texts, loads
+    # only the library
+    from test_cost import _sweep
+    from test_homology import _walk_variants
+    from test_intlinalg import setup_diagrams
+
     out = {}
     files = (p.read_text() for p in sorted(DIAGRAMS.glob("*.shd")))
     built = (serialize(d) for source in (_sweep, _walk_variants,
@@ -76,8 +80,8 @@ def dump(text: str) -> str:
     return "\n".join(lines)
 
 
-def answer_lines() -> list[str]:
-    return [f"{key}\t{_hash(dump(text))}" for key, text in texts().items()]
+def answer_lines(corpus: Iterable[str]) -> list[str]:
+    return [f"{_hash(text)}\t{_hash(dump(text))}" for text in corpus]
 
 
 def _pinned() -> dict[str, str]:
@@ -97,19 +101,25 @@ def test_answers_match_the_golden():
 
 def test_answers_match_the_golden_also_under_optimize():
     # python -O strips asserts, so no answer may rest on one
-    proc = subprocess.run([sys.executable, "-O", __file__],
+    corpus = texts()
+    proc = subprocess.run([sys.executable, "-O", __file__, "--stdin"],
+                          input="\0".join(corpus.values()),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     optimized = proc.stdout.splitlines()
     pinned = GOLDEN.read_text().splitlines()
     for mine, want in zip(optimized, pinned):
-        assert mine == want, f"under -O: {mine}, pinned {want}"
+        key = want.split("\t")[0]
+        assert mine == want, (f"first differing line under -O: {mine}, "
+                              f"pinned {want}; dump without -O:\n"
+                              f"{dump(corpus[key])}")
     assert len(optimized) == len(pinned)
 
 
 if __name__ == "__main__":
-    lines = "\n".join(answer_lines()) + "\n"
     if sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(lines)
+        GOLDEN.write_text("\n".join(answer_lines(texts().values())) + "\n")
+    elif sys.argv[1:] == ["--stdin"]:
+        print("\n".join(answer_lines(sys.stdin.read().split("\0"))))
     else:
-        sys.stdout.write(lines)
+        sys.exit(__doc__)

@@ -147,14 +147,6 @@ def test_validation_counts_no_edge_use_on_a_valid_diagram(monkeypatch):
     assert counters == []
 
 
-def test_sfh_builds_no_dense_defect_rows():
-    # the factorization reads the sparse columns; the dense rows are a view
-    # built only when read
-    for d in _sweep():
-        sfh(d)
-        assert "rows" not in vars(d.defects), d.name
-
-
 def test_an_operation_leaves_no_cyclic_garbage(tmp_path):
     # the per-diagram cache keeps plain tuples and no reference back to its
     # diagram, so dropping an operation's last reference frees all of it by

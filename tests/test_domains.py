@@ -21,7 +21,6 @@ from sfh.domains import (
     NotAdmissibleError,
     admissibility,
     connecting_domain,
-    defect_system,
     h2_rank,
     periodic_basis,
     positive_connecting_domains,
@@ -47,14 +46,11 @@ from test_intlinalg import setup_diagrams
 
 def test_domain_algebra():
     d = build_example("s1s2", [])
-    z = Domain.zero(d)
-    assert z.is_zero() and z.is_nonnegative()
-    a = Domain.from_dict(d, {1: 2})
-    b = Domain.from_dict(d, {1: 1, 2: -1})
-    assert (a + b).as_dict() == {1: 3, 2: -1}
-    assert (a - b).as_dict() == {1: 1, 2: 1}
-    assert a != b and a == Domain.from_dict(d, {1: 2})
-    assert hash(a) == hash(Domain.from_dict(d, {1: 2}))
+    z = Domain(d, (0, 0))
+    a = Domain(d, (2, 0))
+    b = Domain(d, (1, -1))
+    assert a != b and a == Domain(d, (2, 0))
+    assert hash(a) == hash(Domain(d, (2, 0)))
     assert a.coeff(1) == 2 and a.coeff(2) == 0
     assert a.coeff(3) == 0  # boundary region: always zero
     with pytest.raises(ValueError):
@@ -66,8 +62,6 @@ def test_domain_algebra():
 
 def test_domain_rejects_bad_coefficients():
     d = build_example("s1s2", [])
-    with pytest.raises(ValueError, match="not interior regions"):
-        Domain.from_dict(d, {3: 1})  # region 3 touches the boundary
     with pytest.raises(ValueError, match="does not match"):
         Domain(d, (1,))
 
@@ -76,7 +70,7 @@ def test_curve_multiplicities():
     d = build_example("s1s2", [])
     (b,) = periodic_basis(d)
     assert curve_multiplicities(b) == {(ALPHA, 1): 1, (BETA, 1): -1}
-    partial = Domain.from_dict(d, {1: 1})
+    partial = Domain(d, (1, 0))
     with pytest.raises(ValueError, match="not constant along"):
         curve_multiplicities(partial)
 
@@ -87,7 +81,7 @@ def test_curve_multiplicities():
 def test_defect_system_shape():
     for name, params in [("s1s2", []), ("spheres", [3]), ("torus_lens", [3])]:
         d = build_example(name, params)
-        rows, labels = defect_system(d)
+        rows, labels = per_crossing_defect_system(d)
         assert len(rows) == len(labels) == 2 * len(d.crossings)
         for row in rows:
             assert len(row) == len(d.interior_regions)
@@ -99,8 +93,12 @@ def test_defect_system_shape():
 def test_one_pass_tables_match_per_crossing_scans():
     loops = 0
     for d in setup_diagrams():
-        rows, labels = defect_system(d)
-        assert (rows, labels) == per_crossing_defect_system(d), d.name
+        ds = d.defects
+        rows, labels = per_crossing_defect_system(d)
+        assert ds.labels == labels, d.name
+        assert ds.columns == [{i: row[j] for i, row in enumerate(rows)
+                               if row[j]}
+                              for j in range(len(d.interior_regions))], d.name
         assert d.crossing_curves == per_crossing_curves(d), d.name
         loops += any(e.tail == e.head and e.tail in d.crossing_curves
                      for e in d.edges.values())
@@ -119,7 +117,7 @@ def test_defect_rhs_signs():
 def test_periodic_basis_is_in_kernel():
     for name, params in [("s1s2", []), ("spheres", [4]), ("annulus_s3_2", [])]:
         d = build_example(name, params)
-        rows, _ = defect_system(d)
+        rows, _ = per_crossing_defect_system(d)
         for b in periodic_basis(d):
             for row in rows:
                 assert sum(r * c for r, c in zip(row, b.coeffs)) == 0
@@ -153,7 +151,7 @@ def test_h2_rank_scales_with_spheres():
 def test_connecting_domain_s1s2():
     d = build_example("s1s2", [])
     x, y = enumerate_generators(d)
-    assert connecting_domain(d, x, x).is_zero()
+    assert not any(connecting_domain(d, x, x).coeffs)
     assert connecting_domain(d, y, x).describe() == "r2:1"
     assert connecting_domain(d, x, y).describe() == "r2:-1"
 
@@ -162,7 +160,7 @@ def test_connecting_domain_satisfies_defects():
     for name, params in [("s1s2", []), ("annulus_s3_2", []), ("spheres", [3]),
                          ("lens_knot", [3]), ("hexagon", [])]:
         d = build_example(name, params)
-        rows, _ = defect_system(d)
+        rows, _ = per_crossing_defect_system(d)
         gens = enumerate_generators(d)
         for x in gens:
             for y in gens:
@@ -186,10 +184,10 @@ def test_connecting_domain_canonical_on_cosets():
             assert dom is not None  # all sphere generators are connected
             # recompute from a reversed path: D(x,y) + D(y,x) is periodic
             back = connecting_domain(d, y, x)
-            total = dom + back
-            rows, _ = defect_system(d)
+            total = [a + b for a, b in zip(dom.coeffs, back.coeffs)]
+            rows, _ = per_crossing_defect_system(d)
             for row in rows:
-                assert sum(r * c for r, c in zip(row, total.coeffs)) == 0
+                assert sum(r * c for r, c in zip(row, total)) == 0
 
 
 def test_connecting_domain_none_across_classes():
@@ -200,7 +198,7 @@ def test_connecting_domain_none_across_classes():
             dom = connecting_domain(d, x, y)
             assert (dom is None) == (i != j)
             if i == j:
-                assert dom.is_zero()
+                assert not any(dom.coeffs)
 
 
 def test_potentials_reduce_at_non_unit_pivots():
@@ -222,7 +220,7 @@ def test_potentials_reduce_at_non_unit_pivots():
         for x, y in itertools.product(gens, repeat=2):
             want = per_pair_connecting_domain(d, x, y)
             assert connecting_domain(d, x, y) == want, (d.name, x, y)
-            connected += want is not None and not want.is_zero()
+            connected += want is not None and any(want.coeffs)
         checked += 1
     assert checked == 19 and connected >= 100
 
@@ -303,9 +301,9 @@ def test_inadmissible_witness():
     ok, witness = admissibility(d)
     assert not ok
     assert witness.describe() == "r1:1"
-    assert witness.is_nonnegative() and not witness.is_zero()
+    assert min(witness.coeffs) >= 0 and any(witness.coeffs)
     # the witness really is periodic
-    rows, _ = defect_system(d)
+    rows, _ = per_crossing_defect_system(d)
     for row in rows:
         assert sum(r * c for r, c in zip(row, witness.coeffs)) == 0
     with pytest.raises(NotAdmissibleError, match="positive periodic domain"):
@@ -372,7 +370,7 @@ def test_positive_domains_maslov_filter():
 
     assert {dom.describe() for dom in of_index(y, x, 1)} == {"r1:1", "r2:1"}
     assert of_index(y, x, 2) == []
-    assert of_index(x, x, 0) == [Domain.zero(d)]
+    assert of_index(x, x, 0) == [Domain(d, (0, 0))]
 
 
 def test_positive_domains_match_brute_force():
@@ -522,7 +520,7 @@ def test_a_point_set_reaches_itself_by_the_zero_domain():
     # equal point sets, in any order or with a point repeated, have area 0
     # and the zero domain as their only nonnegative one
     for d in itertools.chain(_nice_variants(), _planted_areas()):
-        zero = [Domain.zero(d)]
+        zero = [Domain(d, (0,) * len(d.interior_regions))]
         for x in enumerate_generators(d):
             for y in (x, x[::-1], (*x, *x[:1])):
                 assert positive_connecting_domains(d, x, y) == zero, (d.name, x)
@@ -620,7 +618,7 @@ def test_positive_domains_memo_is_exact_and_isolated():
                 capped = [c for c in want if max(c, default=0) <= 4]
                 assert capped == brute_force_positive_domains(d, x, y, cap=4)
             got.clear()
-            doms.append(Domain.zero(d))
+            doms.append(Domain(d, (0,) * len(d.interior_regions)))
             again = positive_connecting_domains(d, x, y)
             assert [dom.coeffs for dom in again] == want, (d.name, x, y)
             pairs += 1
@@ -669,34 +667,37 @@ def test_pair_cache_answers_each_pair_as_its_own_walk():
     assert pairs >= 28000 and keys < pairs // 2, (pairs, keys)
 
 
-_MIXED_DIAGRAMS = """
+_NO_AREA_FORM = """
 from sfh.builders import build_example
-from sfh.domains import Domain
 
 print("debug", __debug__)
-a = Domain.zero(build_example("spheres", [3]))
-b = Domain.zero(build_example("spheres", [3]))
-for combine in (a.__add__, a.__sub__):
-    try:
-        print("returned", combine(b))
-    except ValueError as e:
-        print("raised", e)
+try:
+    print("returned", build_example("s1s2_disjoint", []).defects.area)
+except ValueError as e:
+    print("raised", e)
 """
 
 
-def test_domains_of_different_diagrams_do_not_combine_also_under_optimize(
-        capsys):
-    # python -O strips asserts, so the diagram check raises
-    exec(_MIXED_DIAGRAMS, {})
+def test_an_inadmissible_diagram_has_no_area_form_also_under_optimize(capsys):
+    # python -O strips asserts, so the admissibility check raises
+    exec(_NO_AREA_FORM, {})
     inline = capsys.readouterr().out.splitlines()
     env = dict(os.environ, PYTHONPATH=str(Path(sfh.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-O", "-c", _MIXED_DIAGRAMS],
+    proc = subprocess.run([sys.executable, "-O", "-c", _NO_AREA_FORM],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     optimized = proc.stdout.splitlines()
     assert optimized[0] == "debug False" and inline[1:] == optimized[1:]
-    assert optimized[1:] == [
-        "raised domains of different diagrams do not combine"] * 2
+    assert optimized[1:] == ["raised an inadmissible diagram has no area form"]
+
+
+def test_a_witness_that_is_not_positive_raises():
+    # a program optimum whose point is no positive periodic domain must not
+    # be handed out as the witness
+    ds = build_example("s1s2_disjoint", []).defects
+    ds._program = ratlp.LPResult(1, [-1], [])
+    with pytest.raises(RuntimeError, match="not a nonzero nonnegative"):
+        ds.admissibility
 
 
 def test_positive_domains_on_grid_fixture(grid2):

@@ -1,4 +1,5 @@
-"""The package's export list: every name resolves, once, to a library object."""
+"""The package's sources: every name of the export list resolves, once, to
+a library object, and no check is an ``assert``."""
 from __future__ import annotations
 
 import ast
@@ -43,3 +44,12 @@ def test_star_import_binds_exactly_the_export_list():
     exec("from sfh import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(sfh.__all__)
+
+
+def test_the_library_holds_no_assert():
+    # python -O strips assert statements, so every check must raise
+    package = Path(sfh.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

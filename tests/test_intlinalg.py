@@ -10,7 +10,8 @@ from sfh.builders import build_example
 from sfh.moves import permute_ids
 
 from oracles import (dense_hermite_factorization, dense_smith_normal_form,
-                     mat_mul, mat_vec, reduced_columns, solve)
+                     mat_mul, mat_vec, per_crossing_defect_system,
+                     reduced_columns, solve)
 
 
 def _factor(a, n):
@@ -162,7 +163,7 @@ def test_snf_relabeled_torus_lens_stays_small():
     # to small entries on it, and the alarm turns a blow-up into a failure
     # instead of a hang
     d = permute_ids(build_example("torus_lens", (20,)), 1250219996)
-    a, n = d.defects.rows, len(d.interior_regions)
+    a, n = per_crossing_defect_system(d)[0], len(d.interior_regions)
 
     def too_slow(signum, frame):
         raise TimeoutError("hermite_factorization ran for over 5 s")
@@ -191,7 +192,7 @@ def test_hermite_entries_stay_small_under_relabeling():
         d0 = build_example(name, (p,))
         for seed in range(150):
             d = permute_ids(d0, seed)
-            pivots, kernel = _factor(d.defects.rows,
+            pivots, kernel = _factor(per_crossing_defect_system(d)[0],
                                      len(d.interior_regions))
             biggest = max(biggest, *(abs(x) for _, _, terms, _ in pivots
                                      for _, x in terms),
@@ -249,7 +250,7 @@ def test_hermite_matches_dense_smith_on_random_matrices():
 def test_hermite_matches_dense_smith_on_defect_matrices():
     count = 0
     for d in setup_diagrams():
-        a, n = d.defects.rows, len(d.interior_regions)
+        a, n = per_crossing_defect_system(d)[0], len(d.interior_regions)
         _, kernel = _assert_factorization(a, n, 1000)
         snf = dense_smith_normal_form(a or [[0] * n])
         basis = [list(b) for b in d.defects.periodic]
@@ -361,7 +362,7 @@ def test_hermite_columns_match_the_dense_echelon_loop():
     for d in setup_diagrams():
         n = len(d.interior_regions)
         kernel = [[u.get(j, 0) for j in range(n)] for u in
-                  _factor(d.defects.rows, n)[1]]
+                  _factor(per_crossing_defect_system(d)[0], n)[1]]
         assert intlinalg.hermite_columns(kernel) == reduced_columns(kernel), \
             d.name
         kernels += 1
